@@ -21,8 +21,6 @@ from .errors import DataError
 DEFAULT_VOCAB_BUCKETS = 1 << 15
 DEFAULT_DIM = 64
 DEFAULT_MAX_TOKENS = 512
-# Budget for long-document experiments.
-LONG_MAX_TOKENS = 4096
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -50,16 +48,52 @@ def bow_encode(token_ids: list[np.ndarray], embedding: np.ndarray) -> np.ndarray
     return out
 
 
-def bow_backward(
-    token_ids: list[np.ndarray], grad_out: np.ndarray, grad_embedding: np.ndarray
-) -> None:
-    """Accumulate the encoder gradient into grad_embedding in place.
+@dataclass(eq=False)
+class RowGrad(np.lib.mixins.NDArrayOperatorsMixin):
+    """Row-sparse gradient of a (rows, dim) embedding table.
+
+    rows holds the sorted unique rows a batch touched and values their
+    accumulated gradients; every other row is zero. NumPy arithmetic and
+    np.asarray see the dense array.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nbytes(self) -> int:
+        return self.rows.nbytes + self.values.nbytes
+
+    def __array__(self, dtype=None, copy=None):
+        dense = np.zeros(self.shape, dtype=self.values.dtype)
+        dense[self.rows] = self.values
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = tuple(np.asarray(x) if isinstance(x, RowGrad) else x for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def bow_backward(token_ids: list[np.ndarray], grad_out: np.ndarray, n_rows: int) -> RowGrad:
+    """Gradient of bow_encode with respect to an (n_rows, dim) embedding.
 
     Each token id receives grad_out[i] / len(ids); repeated ids accumulate.
+    Terms are added case by case in case order, and token by token within
+    a case, so each row sums them in the order a dense per-token loop does.
     """
+    dim = grad_out.shape[1]
+    rows = np.unique(np.concatenate(token_ids)) if token_ids else np.empty(0, dtype=np.int64)
+    values = np.zeros((len(rows), dim), dtype=np.float64)
+    # np.add.at on the flat view is faster than the row-indexed 2-D form,
+    # and one case at a time keeps the index array small.
+    flat = values.reshape(-1)
+    cols = np.arange(dim)
     for i, ids in enumerate(token_ids):
         if len(ids):
-            np.add.at(grad_embedding, ids, grad_out[i] / len(ids))
+            at = np.add.outer(np.searchsorted(rows, ids) * dim, cols).reshape(-1)
+            np.add.at(flat, at, np.tile(grad_out[i] / len(ids), len(ids)))
+    return RowGrad(rows, values, (n_rows, dim))
 
 
 @dataclass

@@ -217,7 +217,15 @@ class Model:
         return neglogp
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(p) for name, p in self.params.items()}
+        """Zero gradients for the heads. Embedding gradients are row-sparse
+        (encoder.RowGrad) and come from bow_backward whole."""
+        return {name: np.zeros_like(p) for name, p in self.params.items()
+                if not name.endswith(".emb")}
+
+    def _emb_grad(self, batch, name: str, dx: np.ndarray):
+        from .encoder import bow_backward  # looked up per call, so it can be wrapped
+
+        return bow_backward(batch.tokens, dx, self.encoders[name].vocab_buckets)
 
     def nll(self, batch) -> float:
         loss, _ = self.loss_and_grads(batch, dropout=0.0, rng=None, want_grads=False)
@@ -311,15 +319,13 @@ class SimpleBaseline(_TwoHeadModel):
     neg_enc = "neg_enc"
 
     def _encoder_backward(self, batch, grads, cache, dx_pos, dx_neg):
-        from .encoder import bow_backward
-
         if self.encoder_kind != "hashed_bow":
             return
         if cache["mask_pos"] is not None:
             dx_pos = dx_pos * cache["mask_pos"]
             dx_neg = dx_neg * cache["mask_neg"]
-        bow_backward(batch.tokens, dx_pos, grads["pos_enc.emb"])
-        bow_backward(batch.tokens, dx_neg, grads["neg_enc.emb"])
+        grads["pos_enc.emb"] = self._emb_grad(batch, "pos_enc", dx_pos)
+        grads["neg_enc.emb"] = self._emb_grad(batch, "neg_enc", dx_neg)
 
 
 class MTLBaseline(_TwoHeadModel):
@@ -330,14 +336,12 @@ class MTLBaseline(_TwoHeadModel):
     neg_enc = "enc"
 
     def _encoder_backward(self, batch, grads, cache, dx_pos, dx_neg):
-        from .encoder import bow_backward
-
         if self.encoder_kind != "hashed_bow":
             return
         dx = dx_pos + dx_neg
         if cache["mask_pos"] is not None:
             dx = dx * cache["mask_pos"]
-        bow_backward(batch.tokens, dx, grads["enc.emb"])
+        grads["enc.emb"] = self._emb_grad(batch, "enc", dx)
 
 
 class JointModel(Model):
@@ -385,11 +389,9 @@ class JointModel(Model):
         grads["joint.out_w"] += d_out
         grads["joint.hidden_w"] += d_hidden
         if self.encoder_kind == "hashed_bow":
-            from .encoder import bow_backward
-
             if cache["mask"] is not None:
                 dx = dx * cache["mask"]
-            bow_backward(batch.tokens, dx, grads["enc.emb"])
+            grads["enc.emb"] = self._emb_grad(batch, "enc", dx)
         return loss, grads
 
 
@@ -458,13 +460,11 @@ class ClaimOutcomeModel(Model):
         grads["outcome.out_w"] += d_out
         grads["outcome.hidden_w"] += d_hidden
         if self.encoder_kind == "hashed_bow":
-            from .encoder import bow_backward
-
             if cache["mask_claim"] is not None:
                 dx_claim = dx_claim * cache["mask_claim"]
                 dx_out = dx_out * cache["mask_out"]
-            bow_backward(batch.tokens, dx_claim, grads["claim_enc.emb"])
-            bow_backward(batch.tokens, dx_out, grads["outcome_enc.emb"])
+            grads["claim_enc.emb"] = self._emb_grad(batch, "claim_enc", dx_claim)
+            grads["outcome_enc.emb"] = self._emb_grad(batch, "outcome_enc", dx_out)
         return loss, grads
 
 
@@ -477,6 +477,13 @@ _ENCODER_NAMES = {
     "mtl": ("enc",),
     "joint": ("enc",),
     "claim_outcome": ("claim_enc", "outcome_enc"),
+}
+
+_HEAD_NAMES = {
+    "simple": ("pos", "neg"),
+    "mtl": ("pos", "neg"),
+    "joint": ("joint",),
+    "claim_outcome": ("claim", "outcome"),
 }
 
 _MODEL_CLASSES = {
@@ -518,13 +525,7 @@ def build_model(
         else:
             raise DataError(f"unknown encoder kind {encoder_kind!r}")
         encoders[enc_name] = enc
-    if arch in ("simple", "mtl"):
-        heads = ("pos", "neg")
-    elif arch == "claim_outcome":
-        heads = ("claim", "outcome")
-    else:
-        heads = ("joint",)
-    for head in heads:
+    for head in _HEAD_NAMES[arch]:
         params[f"{head}.hidden_w"] = _init_hidden(rng, k, hidden, dim)
         if head == "joint":
             params[f"{head}.out_w"] = _init_triple_out(rng, k, hidden)
@@ -556,39 +557,78 @@ def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = No
         np.savez(fh, _meta=np.asarray(json.dumps(meta, sort_keys=True)), **model.params)
 
 
+def _param_shapes(
+    arch: str, n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
+) -> dict[str, tuple[int, ...]]:
+    """Every parameter array an architecture has, with its shape."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    if encoder_kind == "hashed_bow":
+        for enc_name in _ENCODER_NAMES[arch]:
+            shapes[f"{enc_name}.emb"] = (vocab_buckets, dim)
+    for head in _HEAD_NAMES[arch]:
+        shapes[f"{head}.hidden_w"] = (n_articles, hidden, dim)
+        out = (n_articles, 3, hidden) if head == "joint" else (n_articles, hidden)
+        shapes[f"{head}.out_w"] = out
+    return shapes
+
+
 def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None) -> Model:
+    """Read a checkpoint written by save_checkpoint. Every parameter the
+    metadata implies must be present with its shape, and nothing else."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
     with np.load(p, allow_pickle=False) as data:
         if "_meta" not in data:
             raise DataError(f"{p} is not a model checkpoint (no metadata entry)")
-        meta = json.loads(str(data["_meta"]))
+        try:
+            meta = json.loads(str(data["_meta"]))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{p}: checkpoint metadata is not JSON ({exc.msg})") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"{p}: checkpoint metadata is not a JSON object")
         if meta.get("version") != CHECKPOINT_VERSION:
             raise DataError(
                 f"{p}: unsupported checkpoint version {meta.get('version')!r}"
             )
-        arch = meta["arch"]
+        arch = meta.get("arch")
         if arch not in _MODEL_CLASSES:
             raise DataError(f"{p}: unknown architecture {arch!r}")
-        index = ArticleIndex(tuple(meta["articles"]))
+        try:
+            index = ArticleIndex(tuple(int(a) for a in meta["articles"]))
+            hidden, dim = int(meta["hidden"]), int(meta["dim"])
+            vocab_buckets, max_tokens = int(meta["vocab_buckets"]), int(meta["max_tokens"])
+            encoder_kind = meta["encoder_kind"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{p}: malformed checkpoint metadata ({exc!r})") from exc
         params = {name: np.asarray(data[name], dtype=np.float64) for name in data.files
                   if name != "_meta"}
+    if encoder_kind not in ("hashed_bow", "precomputed"):
+        raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
+    expected = _param_shapes(arch, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    for name, shape in expected.items():
+        if name not in params:
+            raise DataError(f"{p}: missing weights for {name}")
+        if params[name].shape != shape:
+            raise DataError(
+                f"{p}: {name} has shape {params[name].shape}, expected {shape}"
+            )
+    unexpected = sorted(set(params) - set(expected))
+    if unexpected:
+        raise DataError(f"{p}: unexpected arrays {', '.join(unexpected)}")
     encoders: dict[str, HashedBowEncoder | PrecomputedEncoder] = {}
     for enc_name in _ENCODER_NAMES[arch]:
-        if meta["encoder_kind"] == "hashed_bow":
-            key = f"{enc_name}.emb"
-            if key not in params:
-                raise DataError(f"{p}: missing weights for {key}")
+        if encoder_kind == "hashed_bow":
             encoders[enc_name] = HashedBowEncoder(
-                embedding=params[key], max_tokens=int(meta["max_tokens"])
+                embedding=params[f"{enc_name}.emb"], max_tokens=max_tokens
             )
         else:
             if vectors is None:
                 raise DataError(f"{p}: precomputed checkpoint needs a vector table")
+            if vectors.dim != dim:
+                raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
+                                f"the checkpoint expects {dim}")
             encoders[enc_name] = vectors
-    model = _MODEL_CLASSES[arch](
-        index=index, hidden=int(meta["hidden"]), encoders=encoders, params=params
-    )
+    model = _MODEL_CLASSES[arch](index=index, hidden=hidden, encoders=encoders, params=params)
     model.checkpoint_meta = meta
     return model

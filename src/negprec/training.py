@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ArticleIndex, Case, SplitSet, build_label_matrix, filter_articles
-from .encoder import PrecomputedEncoder, tokenize
+from .encoder import PrecomputedEncoder, RowGrad, tokenize
 from .errors import DataError, NumericError, UsageError
 from .models import ARCHITECTURES, Model, build_model
 
@@ -149,6 +149,10 @@ def nll_loss(model: Model, batch: Dataset) -> float:
 # --------------------------------------------------------------------------
 
 
+# Elements per block of Adam's dense pass.
+_ADAM_BLOCK = 1 << 16
+
+
 @dataclass
 class AdamState:
     m: dict[str, np.ndarray]
@@ -165,7 +169,7 @@ class AdamState:
 
 def adam_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
+    grads: dict[str, np.ndarray | RowGrad],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -173,21 +177,41 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place so that arrays
-    aliased elsewhere (encoder embeddings) stay current."""
+    aliased elsewhere (encoder embeddings) stay current.
+
+    A RowGrad adds its gradient terms to the moments of its rows only; the
+    moments of every row still decay and every parameter still moves, so
+    the result is bit-identical to the update with its dense array.
+    """
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        values = g.values if isinstance(g, RowGrad) else g
+        if not np.all(np.isfinite(values)):
             raise NumericError(f"non-finite gradient in {name!r} at step {state.step + 1}")
     state.step += 1
     bc1 = 1.0 - beta1 ** state.step
     bc2 = 1.0 - beta2 ** state.step
     for name, g in grads.items():
+        rows, g = (g.rows, g.values) if isinstance(g, RowGrad) else (slice(None), g)
         m = state.m[name]
         v = state.v[name]
         m *= beta1
-        m += (1.0 - beta1) * g
+        m[rows] += (1.0 - beta1) * g
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        v[rows] += (1.0 - beta2) * (g * g)
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same operations
+        # in the same order, over blocks of rows, so the two temporaries
+        # stay in cache and add little to peak memory.
+        p = params[name]
+        block_rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
+        for lo in range(0, len(p), block_rows):
+            block = slice(lo, lo + block_rows)
+            step = np.divide(m[block], bc1)
+            step *= lr
+            denom = np.divide(v[block], bc2)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            step /= denom
+            p[block] -= step
     return params, state
 
 
@@ -373,6 +397,7 @@ def gradient_check(
     0/1 = 0. Dropout is off throughout.
     """
     _, grads = model.loss_and_grads(batch, dropout=0.0, rng=None)
+    grads = {name: np.asarray(g) for name, g in grads.items()}  # RowGrad -> dense, once
     rng = np.random.default_rng(seed)
     names = sorted(model.params)
     total = sum(model.params[n].size for n in names)

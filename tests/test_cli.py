@@ -235,6 +235,16 @@ class TestEval:
         assert code == 2
         assert "checkpoint not found" in capsys.readouterr().err
 
+    def test_incomplete_checkpoint_is_data_error(self, pipeline, tmp_path, capsys):
+        with np.load(pipeline / "simple.npz", allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files if name != "pos.hidden_w"}
+        ckpt = tmp_path / "incomplete.npz"
+        with ckpt.open("wb") as fh:
+            np.savez(fh, **arrays)
+        code = main(["eval", "--ckpt", str(ckpt), "--corpus", str(pipeline / "corpus")])
+        assert code == 2
+        assert "missing weights for pos.hidden_w" in capsys.readouterr().err
+
 
 class TestSignificance:
     @pytest.fixture()

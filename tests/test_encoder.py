@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from negprec.encoder import (
     HashedBowEncoder,
     PrecomputedEncoder,
+    RowGrad,
     bow_backward,
     bow_encode,
     load_vector_table,
@@ -83,18 +84,59 @@ class TestBowEncode:
         out = bow_encode([np.array([], dtype=np.int64)], emb)
         assert out.tolist() == [[0.0, 0.0, 0.0]]
 
-    def test_backward_matches_loop_oracle(self):
-        rng = np.random.default_rng(0)
-        emb = rng.normal(size=(8, 3))
-        ids = [np.array([0, 3, 3]), np.array([], dtype=np.int64), np.array([5])]
-        dx = rng.normal(size=(3, 3))
-        grad = np.zeros_like(emb)
-        bow_backward(ids, dx, grad)
-        oracle = np.zeros_like(emb)
+    @staticmethod
+    def loop_oracle(ids, dx, n_rows):
+        oracle = np.zeros((n_rows, dx.shape[1]))
         for row, case_ids in enumerate(ids):
             for token in case_ids:
                 oracle[token] += dx[row] / len(case_ids)
-        np.testing.assert_allclose(grad, oracle, rtol=0, atol=1e-15)
+        return oracle
+
+    def check_against_oracle(self, ids, dx, n_rows):
+        grad = bow_backward(ids, dx, n_rows)
+        oracle = self.loop_oracle(ids, dx, n_rows)
+        touched = np.unique(np.concatenate(ids)).astype(np.int64)
+        np.testing.assert_array_equal(grad.rows, touched)
+        np.testing.assert_allclose(grad.values, oracle[touched], rtol=0, atol=0)
+        assert grad.shape == (n_rows, dx.shape[1])
+        np.testing.assert_allclose(np.asarray(grad), oracle, rtol=0, atol=0)
+
+    def test_backward_matches_loop_oracle(self):
+        rng = np.random.default_rng(0)
+        ids = [np.array([0, 3, 3]), np.array([], dtype=np.int64), np.array([5])]
+        dx = rng.normal(size=(3, 3))
+        self.check_against_oracle(ids, dx, 8)
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [np.array([7, 7, 7, 2]), np.array([2, 7]), np.array([2, 2, 7, 0, 7])],
+            [np.array([], dtype=np.int64), np.array([], dtype=np.int64)],
+            [np.array([1, 4]), np.array([0, 6]), np.array([3])],
+        ],
+        ids=["repeated", "all_empty", "disjoint"],
+    )
+    def test_backward_edge_cases_match_loop_oracle(self, ids):
+        dx = np.random.default_rng(2).normal(size=(len(ids), 3))
+        self.check_against_oracle(ids, dx, 8)
+
+    def test_backward_rows_are_the_batch_tokens(self):
+        rng = np.random.default_rng(3)
+        ids = [rng.integers(0, 1000, size=n) for n in (40, 0, 17, 64)]
+        dx = rng.normal(size=(4, 5))
+        grad = bow_backward(ids, dx, 1000)
+        np.testing.assert_array_equal(grad.rows, np.unique(np.concatenate(ids)))
+        assert grad.nbytes == grad.rows.nbytes + grad.values.nbytes
+        np.testing.assert_allclose(
+            np.asarray(grad), self.loop_oracle(ids, dx, 1000), rtol=0, atol=0
+        )
+
+    def test_row_grad_is_dense_under_arithmetic(self):
+        grad = RowGrad(np.array([1]), np.array([[2.0, -1.0]]), (3, 2))
+        np.testing.assert_array_equal(grad + 1.0, [[1.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
+        assert isinstance(grad * 2.0, np.ndarray)
+        np.testing.assert_array_equal(np.asarray(grad, dtype=np.float32),
+                                      [[0.0, 0.0], [2.0, -1.0], [0.0, 0.0]])
 
     def test_backward_is_gradient_of_encode(self):
         # Finite differences on a scalar function of the pooled vectors.
@@ -106,8 +148,7 @@ class TestBowEncode:
         def value(e):
             return float((bow_encode(ids, e) * weights).sum())
 
-        grad = np.zeros_like(emb)
-        bow_backward(ids, weights, grad)
+        grad = np.asarray(bow_backward(ids, weights, 6))
         eps = 1e-6
         for i in (0, 2, 5):
             for j in range(4):

@@ -578,3 +578,56 @@ class TestCheckpoints:
             load_checkpoint(path)
         loaded = load_checkpoint(path, vectors=vectors)
         assert loaded.encoder_kind == "precomputed"
+
+    @staticmethod
+    def rewrite(path, edit):
+        """Re-save a checkpoint after edit(arrays) changes its entries."""
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        edit(arrays)
+        with path.open("wb") as fh:
+            np.savez(fh, **arrays)
+
+    @pytest.mark.parametrize(
+        "arch, edit, message",
+        [
+            ("simple", lambda a: a.pop("pos.hidden_w"), "missing weights for pos.hidden_w"),
+            ("mtl", lambda a: a.update({"enc.emb": a["enc.emb"][:-1]}),
+             r"enc.emb has shape \(7, 4\), expected \(8, 4\)"),
+            ("joint", lambda a: a.update({"extra.w": np.zeros(3)}),
+             "unexpected arrays extra.w"),
+        ],
+        ids=["missing_head", "wrong_shape", "extra_array"],
+    )
+    def test_contents_checked_against_metadata(self, arch, edit, message, tmp_path):
+        model = build_model(arch, INDEX2, np.random.default_rng(0), dim=4, hidden=3,
+                            vocab_buckets=8)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        self.rewrite(path, edit)
+        with pytest.raises(DataError, match=message):
+            load_checkpoint(path)
+
+    def test_malformed_metadata(self, tmp_path):
+        model = build_model("joint", INDEX2, np.random.default_rng(0), vocab_buckets=8)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def drop_hidden(arrays):
+            meta = json.loads(str(arrays["_meta"]))
+            del meta["hidden"]
+            arrays["_meta"] = np.asarray(json.dumps(meta))
+
+        self.rewrite(path, drop_hidden)
+        with pytest.raises(DataError, match="malformed checkpoint metadata"):
+            load_checkpoint(path)
+
+    def test_precomputed_vector_dimension_checked(self, tmp_path):
+        vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
+        model = build_model("joint", INDEX2, np.random.default_rng(0), dim=4,
+                            encoder_kind="precomputed", vectors=vectors)
+        path = tmp_path / "pc.ckpt"
+        save_checkpoint(model, path)
+        wider = PrecomputedEncoder(table={"a": np.zeros(5)}, dim=5)
+        with pytest.raises(DataError, match="dimension 5"):
+            load_checkpoint(path, vectors=wider)

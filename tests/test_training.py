@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from negprec.corpus import ArticleIndex, Outcome, filter_articles
+from negprec.encoder import RowGrad
 from negprec.errors import DataError, NumericError, UsageError
 from negprec.synth import GenConfig, generate_corpus
 from negprec.training import (
@@ -96,6 +97,59 @@ class TestAdam:
         # The failed call must not half-apply: step stays 0.
         assert state.step == 0
         np.testing.assert_array_equal(params["w"], np.ones(2))
+
+    def test_row_sparse_gradient_matches_dense_bitwise(self):
+        # The dense path is the oracle: five steps with a different set of
+        # touched rows each time, some rows never touched at all.
+        rng = np.random.default_rng(4)
+        p0 = rng.normal(size=(12, 3))
+        sparse_params = {"emb": p0.copy()}
+        dense_params = {"emb": p0.copy()}
+        sparse_state = AdamState.init(sparse_params)
+        dense_state = AdamState.init(dense_params)
+        for _ in range(5):
+            rows = np.sort(rng.choice(10, size=rng.integers(0, 5), replace=False))
+            grad = RowGrad(rows, rng.normal(size=(len(rows), 3)), (12, 3))
+            adam_step(sparse_params, {"emb": grad}, sparse_state, lr=0.05)
+            adam_step(dense_params, {"emb": np.asarray(grad)}, dense_state, lr=0.05)
+            for got, want in ((sparse_params["emb"], dense_params["emb"]),
+                              (sparse_state.m["emb"], dense_state.m["emb"]),
+                              (sparse_state.v["emb"], dense_state.v["emb"])):
+                assert got.tobytes() == want.tobytes()
+        assert sparse_state.step == dense_state.step == 5
+
+    def test_blocked_update_matches_whole_array_formula(self):
+        # 3000 x 64 spans several blocks of the dense pass; the oracle is
+        # the same arithmetic written as whole-array expressions, so the
+        # two must agree bit for bit.
+        rng = np.random.default_rng(6)
+        p0 = rng.normal(size=(3000, 64))
+        params = {"w": p0.copy()}
+        state = AdamState.init(params)
+        m = np.zeros_like(p0)
+        v = np.zeros_like(p0)
+        want = p0.copy()
+        for t in (1, 2, 3):
+            g = rng.normal(size=p0.shape)
+            adam_step(params, {"w": g}, state, lr=0.01)
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * (g * g)
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            want = want - 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+        assert params["w"].tobytes() == want.tobytes()
+
+    def test_non_finite_row_sparse_gradient_rejected(self):
+        params = {"emb": np.ones((4, 2))}
+        state = AdamState.init(params)
+        grad = RowGrad(np.array([1, 3]), np.array([[0.5, np.nan], [1.0, 1.0]]), (4, 2))
+        with pytest.raises(NumericError) as sparse_err:
+            adam_step(params, {"emb": grad}, state, lr=0.01)
+        with pytest.raises(NumericError) as dense_err:
+            adam_step(params, {"emb": np.asarray(grad)}, state, lr=0.01)
+        assert str(sparse_err.value) == str(dense_err.value)
+        assert str(sparse_err.value) == "non-finite gradient in 'emb' at step 1"
+        assert state.step == 0
+        np.testing.assert_array_equal(params["emb"], np.ones((4, 2)))
 
 
 class TestConfigParsing:
