@@ -41,7 +41,6 @@ from .training import (
     adam_step,
     gradient_check,
     grid_search,
-    nll_loss,
     train,
 )
 from .evaluation import (
@@ -88,7 +87,6 @@ __all__ = [
     "load_corpus",
     "marginalize",
     "micro_f1",
-    "nll_loss",
     "permutation_test",
     "random_baseline",
     "render_report",

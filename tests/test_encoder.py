@@ -138,6 +138,18 @@ class TestBowEncode:
         np.testing.assert_array_equal(np.asarray(grad, dtype=np.float32),
                                       [[0.0, 0.0], [2.0, -1.0], [0.0, 0.0]])
 
+    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
+                        reason="NumPy 1.x passes no copy argument to __array__")
+    def test_row_grad_refuses_copy_false(self):
+        # Like an ndarray that cannot avoid a copy: a fresh dense array
+        # handed out as a view would silently drop writes into it.
+        grad = RowGrad(np.array([1]), np.array([[2.0, -1.0]]), (3, 2))
+        with pytest.raises(ValueError):
+            np.asarray(grad, copy=False)
+        with pytest.raises(ValueError):
+            np.array(grad, copy=False)
+        np.testing.assert_array_equal(np.array(grad, copy=True)[1], [2.0, -1.0])
+
     def test_backward_is_gradient_of_encode(self):
         # Finite differences on a scalar function of the pooled vectors.
         rng = np.random.default_rng(1)

@@ -11,9 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from negprec import training
 from negprec.corpus import ArticleIndex, Outcome, filter_articles
 from negprec.encoder import RowGrad
 from negprec.errors import DataError, NumericError, UsageError
+from negprec.models import ARCHITECTURES
 from negprec.synth import GenConfig, generate_corpus
 from negprec.training import (
     DESK_GRID,
@@ -26,7 +28,6 @@ from negprec.training import (
     adam_step,
     grid_search,
     load_train_config,
-    nll_loss,
     parse_kv_lines,
     train,
     train_config_from_mapping,
@@ -98,25 +99,77 @@ class TestAdam:
         assert state.step == 0
         np.testing.assert_array_equal(params["w"], np.ones(2))
 
-    def test_row_sparse_gradient_matches_dense_bitwise(self):
-        # The dense path is the oracle: five steps with a different set of
-        # touched rows each time, some rows never touched at all.
-        rng = np.random.default_rng(4)
-        p0 = rng.normal(size=(12, 3))
+    @staticmethod
+    def assert_matches_dense(p0, grads):
+        """Feed grads to one Adam and, as the oracle, their dense arrays to
+        another; p, m and v must agree bit for bit after every step.
+        Returns the live rows after each step and the final parameters."""
         sparse_params = {"emb": p0.copy()}
         dense_params = {"emb": p0.copy()}
         sparse_state = AdamState.init(sparse_params)
         dense_state = AdamState.init(dense_params)
-        for _ in range(5):
-            rows = np.sort(rng.choice(10, size=rng.integers(0, 5), replace=False))
-            grad = RowGrad(rows, rng.normal(size=(len(rows), 3)), (12, 3))
+        lives = []
+        for grad in grads:
             adam_step(sparse_params, {"emb": grad}, sparse_state, lr=0.05)
             adam_step(dense_params, {"emb": np.asarray(grad)}, dense_state, lr=0.05)
             for got, want in ((sparse_params["emb"], dense_params["emb"]),
                               (sparse_state.m["emb"], dense_state.m["emb"]),
                               (sparse_state.v["emb"], dense_state.v["emb"])):
                 assert got.tobytes() == want.tobytes()
-        assert sparse_state.step == dense_state.step == 5
+            live = sparse_state.live["emb"]
+            lives.append(None if live is None else live.copy())
+        assert sparse_state.step == dense_state.step == len(grads)
+        return lives, sparse_params["emb"]
+
+    @staticmethod
+    def row_grad(rng, rows, shape):
+        rows = np.sort(np.asarray(rows, dtype=np.int64))
+        return RowGrad(rows, rng.normal(size=(len(rows), shape[1])), shape)
+
+    def test_row_sparse_gradient_matches_dense_bitwise(self):
+        # Five steps with a different set of touched rows each time, some
+        # rows never touched at all.
+        rng = np.random.default_rng(4)
+        p0 = rng.normal(size=(12, 3))
+        grads = [self.row_grad(rng, rng.choice(10, size=rng.integers(0, 5), replace=False),
+                               (12, 3)) for _ in range(5)]
+        self.assert_matches_dense(p0, grads)
+
+    def test_untouched_rows_are_skipped_bitwise(self, monkeypatch):
+        # Every touched row is even and below 40, so live never passes a
+        # third of the 60 rows; two rows per block give several blocks.
+        monkeypatch.setattr(training, "_ADAM_GATHER_BLOCK", 6)
+        rng = np.random.default_rng(8)
+        p0 = rng.normal(size=(60, 3))
+        grads = [self.row_grad(rng, rng.choice(np.arange(0, 40, 2), size=k, replace=False),
+                               p0.shape) for k in (3, 1, 5, 0, 4, 2)]
+        lives, p = self.assert_matches_dense(p0, grads)
+        touched = np.unique(np.concatenate([g.rows for g in grads]))
+        assert all(live is not None for live in lives)
+        np.testing.assert_array_equal(lives[-1], touched)
+        untouched = np.setdiff1d(np.arange(60), touched)
+        assert p[untouched].tobytes() == p0[untouched].tobytes()
+        assert not np.array_equal(p[touched], p0[touched])
+
+    def test_live_rows_switch_to_whole_table_part_way(self, monkeypatch):
+        # Three new rows a step in a 30-row table: live holds 9 rows after
+        # step three and 12 after step four, past a third of the table.
+        monkeypatch.setattr(training, "_ADAM_GATHER_BLOCK", 6)
+        rng = np.random.default_rng(9)
+        grads = [self.row_grad(rng, [3 * t, 3 * t + 1, 3 * t + 2], (30, 3)) for t in range(6)]
+        lives, _ = self.assert_matches_dense(rng.normal(size=(30, 3)), grads)
+        assert [live is None for live in lives] == [False] * 3 + [True] * 3
+
+    @pytest.mark.parametrize("dense_at", [0, 2])
+    def test_dense_and_row_sparse_gradients_mix_bitwise(self, dense_at):
+        # A dense gradient for a table, before or after row-sparse ones,
+        # switches it to the whole-table update for good.
+        rng = np.random.default_rng(10)
+        grads = [self.row_grad(rng, rng.choice(6, size=3, replace=False), (40, 3))
+                 for _ in range(4)]
+        grads[dense_at] = rng.normal(size=(40, 3))
+        lives, _ = self.assert_matches_dense(rng.normal(size=(40, 3)), grads)
+        assert [live is None for live in lives] == [i >= dense_at for i in range(4)]
 
     def test_blocked_update_matches_whole_array_formula(self):
         # 3000 x 64 spans several blocks of the dense pass; the oracle is
@@ -272,9 +325,42 @@ class TestTrain:
         val = Dataset.build(
             splits.validation, index, config.max_tokens, config.vocab_buckets
         )
-        assert nll_loss(result.model, val) == pytest.approx(
+        assert result.model.nll(val) == pytest.approx(
             result.best_val_loss, rel=1e-12
         )
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_gather_switch_share_leaves_training_bitwise(self, arch, monkeypatch):
+        # A 300-word vocabulary in 512 buckets: the embedding tables pass a
+        # third touched within the first few of 15 steps. Whole tables
+        # from the first step (the dense update), the default switch, and
+        # gathering throughout must train to the same bytes.
+        splits = generate_corpus(GenConfig(
+            n_articles=2, vocab=300, train_size=40, validation_size=12, test_size=12,
+        ))
+        adam_step = training.adam_step
+        runs = []
+        for share in (0.0, training._ADAM_GATHER_MAX_SHARE, 1.0):
+            gathering = []
+
+            def traced(params, grads, state, lr, **kwargs):
+                adam_step(params, grads, state, lr, **kwargs)
+                gathering.append(any(state.live[name] is not None for name, g in grads.items()
+                                     if isinstance(g, RowGrad)))
+
+            monkeypatch.setattr(training, "_ADAM_GATHER_MAX_SHARE", share)
+            monkeypatch.setattr(training, "adam_step", traced)
+            result = train(arch, fast_config(vocab_buckets=512), splits)
+            runs.append((gathering, result))
+        assert not any(runs[0][0]) and all(runs[2][0])
+        switched = runs[1][0]
+        assert switched[0] and not switched[-1]
+        assert switched == sorted(switched, reverse=True)
+        want = runs[0][1]
+        for _, got in runs[1:]:
+            assert got.log == want.log
+            for name, p in want.model.params.items():
+                assert got.model.params[name].tobytes() == p.tobytes()
 
     def test_restored_weights_keep_encoder_alias(self):
         splits = small_corpus()
