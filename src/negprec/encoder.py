@@ -66,8 +66,6 @@ class RowGrad(np.lib.mixins.NDArrayOperatorsMixin):
         return self.rows.nbytes + self.values.nbytes
 
     def __array__(self, dtype=None, copy=None):
-        # NumPy 2 passes copy; NumPy 1.x never does, so there the guard
-        # cannot see copy=False.
         if copy is False:
             raise ValueError("a RowGrad has no dense array to share; it must be copied")
         dense = np.zeros(self.shape, dtype=self.values.dtype)

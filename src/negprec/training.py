@@ -147,40 +147,20 @@ class Dataset:
 # Elements per block of Adam's whole-table update.
 _ADAM_BLOCK = 1 << 16
 
-# Elements per block of the gathered update, which holds three gathered
-# blocks besides its two temporaries. At 1 << 16 that raised train-4k's
-# peak RSS from 81.5 to 82.2 MB; at 1 << 14 it read 81.4-81.6 MB.
-_ADAM_GATHER_BLOCK = 1 << 14
-
-# Share of a table's rows past which Adam stops gathering the live rows and
-# updates the whole table. On a 32768 x 64 table with 800 rows in each
-# gradient (2 vCPUs, NumPy 2.4), gathering took 0.06x the time of the
-# whole-table update at a live share of 0.03, 0.6-0.7x at 0.25, 0.8-0.9x
-# at 0.33, 0.9-1.04x at 0.38, 1.2-1.3x at 0.5 and 2.0-2.6x at 1.0.
-# Training the four architectures on the synthetic corpus at 1024-4096
-# buckets (final touched share 0.77-0.24) ran 1.00-1.19x as fast as
-# updating whole tables throughout, on both sides of this share.
-_ADAM_GATHER_MAX_SHARE = 1 / 3
-
 
 @dataclass
 class AdamState:
-    """Adam's moments, step count, and per table the sorted rows some
-    gradient has touched so far (live). A row outside live still has
-    m = v = 0, so its step is exactly 0 and Adam skips it; a missing or
-    None entry means every row is live."""
+    """Adam's first and second moments per parameter and the step count."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    live: dict[str, np.ndarray | None] = field(default_factory=dict)
 
     @classmethod
     def init(cls, params: dict[str, np.ndarray]) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p) for k, p in params.items()},
             v={k: np.zeros_like(p) for k, p in params.items()},
-            live={k: np.empty(0, dtype=np.int64) for k in params},
         )
 
 
@@ -193,7 +173,7 @@ def _adam_update(p, m, v, at, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same operations
     # in the same order, over blocks of rows, so the two temporaries
     # stay in cache and add little to peak memory.
-    block_rows = _block_rows(p, _ADAM_BLOCK)
+    block_rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
     for lo in range(0, len(p), block_rows):
         block = slice(lo, lo + block_rows)
         step = np.divide(m[block], bc1)
@@ -203,10 +183,6 @@ def _adam_update(p, m, v, at, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
         denom += eps
         step /= denom
         p[block] -= step
-
-
-def _block_rows(p: np.ndarray, elements: int) -> int:
-    return max(1, elements // max(1, math.prod(p.shape[1:])))
 
 
 def adam_step(
@@ -221,12 +197,10 @@ def adam_step(
     """One bias-corrected Adam update, applied in place so that arrays
     aliased elsewhere (encoder embeddings) stay current.
 
-    Only the live rows of a table change, and each of their elements gets
-    the dense update's operations in the same order, so the result is
-    bit-identical to it. While live holds at most _ADAM_GATHER_MAX_SHARE
-    of a table, its rows are gathered, updated and scattered back a block
-    of _ADAM_GATHER_BLOCK elements at a time. Past that share, or after a
-    dense gradient, the whole table is updated from then on.
+    Every table gets the whole-table update. A row-sparse gradient adds to
+    the moments of its rows only, which is bit-identical to adding its dense
+    array. train() passes embedding tables cut down to the rows its data
+    uses, so that whole-table pass covers those rows, not every bucket.
     """
     for name, g in grads.items():
         values = g.values if isinstance(g, RowGrad) else g
@@ -235,28 +209,11 @@ def adam_step(
     state.step += 1
     hyper = (lr, beta1, beta2, 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step, eps)
     for name, g in grads.items():
-        p, m, v = params[name], state.m[name], state.v[name]
-        live = state.live.get(name)
-        if not isinstance(g, RowGrad):
-            live = None
-            _adam_update(p, m, v, slice(None), g, *hyper)
+        if isinstance(g, RowGrad):
+            at, g = g.rows, g.values
         else:
-            if live is not None:
-                live = np.union1d(live, g.rows)
-                if len(live) > _ADAM_GATHER_MAX_SHARE * len(p):
-                    live = None
-            if live is None:
-                _adam_update(p, m, v, g.rows, g.values, *hyper)
-            else:
-                at = np.searchsorted(live, g.rows)
-                block_rows = _block_rows(p, _ADAM_GATHER_BLOCK)
-                for lo in range(0, len(live), block_rows):
-                    a, b = np.searchsorted(at, (lo, lo + block_rows))
-                    rows = live[lo : lo + block_rows]
-                    pb, mb, vb = p[rows], m[rows], v[rows]
-                    _adam_update(pb, mb, vb, at[a:b] - lo, g.values[a:b], *hyper)
-                    p[rows], m[rows], v[rows] = pb, mb, vb
-        state.live[name] = live
+            at = slice(None)
+        _adam_update(params[name], state.m[name], state.v[name], at, g, *hyper)
     return params, state
 
 
@@ -311,6 +268,25 @@ def train(
     )
     if not len(val_ds):
         raise DataError("validation split is empty")
+    # Train each embedding on the rows the training and validation tokens
+    # hash to, with the tokens renumbered to match. No other row gets a
+    # gradient, and a row without one yet has m = v = 0, so its Adam step
+    # is exactly 0: the result is bit-identical to training the whole table.
+    full: dict[str, np.ndarray] = {}
+    if with_tokens:
+        # A mask and in-place renumbering copy one case's ids at a time;
+        # np.unique over all ids concatenated raised peak memory by about
+        # 5 MB at 425 tokens per case.
+        seen = np.zeros(config.vocab_buckets, dtype=bool)
+        for ids in train_ds.tokens + val_ds.tokens:
+            seen[ids] = True
+        vocab = np.flatnonzero(seen)
+        for ds in (train_ds, val_ds):
+            for i, ids in enumerate(ds.tokens):
+                ds.tokens[i] = np.searchsorted(vocab, ids)
+        for name, enc in model.encoders.items():
+            full[name] = enc.embedding
+            enc.embedding = model.params[f"{name}.emb"] = enc.embedding[vocab]
 
     state = AdamState.init(model.params)
     result = TrainResult(model=model, config=config, index=index)
@@ -348,6 +324,10 @@ def train(
     # Copy back in place; the model's encoders alias these arrays.
     for name, p in model.params.items():
         p[...] = best_params[name]
+    # Write the compact rows back and hand the model its full tables again.
+    for name, emb in full.items():
+        emb[vocab] = model.encoders[name].embedding
+        model.encoders[name].embedding = model.params[f"{name}.emb"] = emb
     return result
 
 

@@ -138,8 +138,6 @@ class TestBowEncode:
         np.testing.assert_array_equal(np.asarray(grad, dtype=np.float32),
                                       [[0.0, 0.0], [2.0, -1.0], [0.0, 0.0]])
 
-    @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.0.0",
-                        reason="NumPy 1.x passes no copy argument to __array__")
     def test_row_grad_refuses_copy_false(self):
         # Like an ndarray that cannot avoid a copy: a fresh dense array
         # handed out as a view would silently drop writes into it.

@@ -7,15 +7,15 @@ Python scalars, compared against the vectorized in-place implementation.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from negprec import training
 from negprec.corpus import ArticleIndex, Outcome, filter_articles
-from negprec.encoder import RowGrad
+from negprec.encoder import PrecomputedEncoder, RowGrad, tokenize
 from negprec.errors import DataError, NumericError, UsageError
-from negprec.models import ARCHITECTURES
+from negprec.models import ARCHITECTURES, build_model
 from negprec.synth import GenConfig, generate_corpus
 from negprec.training import (
     DESK_GRID,
@@ -55,6 +55,68 @@ def fast_config(**overrides):
     )
     defaults.update(overrides)
     return TrainConfig(**defaults)
+
+
+def initial_model(arch, config, splits, vectors=None):
+    """The model train() starts from, and its generator after drawing it."""
+    rng = np.random.default_rng(config.seed)
+    model = build_model(
+        arch, filter_articles(splits), rng, dim=config.dim, hidden=config.hidden,
+        encoder_kind=config.encoder, vocab_buckets=config.vocab_buckets,
+        max_tokens=config.max_tokens, vectors=vectors,
+    )
+    return model, rng
+
+
+def full_table_oracle(arch, config, splits, vectors=None):
+    """train() as a plain loop: dense Adam written out over every whole
+    parameter array, full embedding tables included, with the generator
+    drawn in train()'s order (initialization, then per epoch a permutation
+    and the dropout masks), and the best epoch's weights restored.
+    Returns those weights and the per-epoch log."""
+    model, rng = initial_model(arch, config, splits, vectors)
+    train_ds, val_ds = (
+        Dataset.build(cases, model.index, config.max_tokens, config.vocab_buckets,
+                      with_tokens=vectors is None)
+        for cases in (splits.train, splits.validation)
+    )
+    params, lr = model.params, config.learning_rate
+    m = {k: np.zeros_like(p) for k, p in params.items()}
+    v = {k: np.zeros_like(p) for k, p in params.items()}
+    t, best_loss, best, log = 0, math.inf, None, []
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(len(train_ds))
+        total = 0.0
+        for start in range(0, len(order), config.batch_size):
+            batch = train_ds.subset(order[start : start + config.batch_size])
+            loss, grads = model.loss_and_grads(batch, dropout=config.dropout, rng=rng)
+            total += loss * len(batch.case_ids)
+            t += 1
+            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+            for name, g in grads.items():
+                g = np.asarray(g)
+                m[name] = m[name] * 0.9 + (1.0 - 0.9) * g
+                v[name] = v[name] * 0.999 + (1.0 - 0.999) * (g * g)
+                # In place: the encoders alias the embedding tables.
+                params[name][...] = params[name] - lr * (m[name] / bc1) / (
+                    np.sqrt(v[name] / bc2) + 1e-8)
+        val_loss = model.nll(val_ds)
+        picked = val_loss < best_loss
+        if picked:
+            best_loss, best = val_loss, {k: p.copy() for k, p in params.items()}
+        log.append({"epoch": epoch, "train_loss": total / len(train_ds),
+                    "val_loss": val_loss, "selected": picked})
+    return best, log
+
+
+def assert_trains_like_oracle(arch, config, splits, vectors=None):
+    want_params, want_log = full_table_oracle(arch, config, splits, vectors)
+    result = train(arch, config, splits, vectors=vectors)
+    assert result.log == want_log
+    assert result.model.params.keys() == want_params.keys()
+    for name, p in want_params.items():
+        assert result.model.params[name].tobytes() == p.tobytes()
+    return result
 
 
 class TestAdam:
@@ -103,12 +165,11 @@ class TestAdam:
     def assert_matches_dense(p0, grads):
         """Feed grads to one Adam and, as the oracle, their dense arrays to
         another; p, m and v must agree bit for bit after every step.
-        Returns the live rows after each step and the final parameters."""
+        Returns the final parameters."""
         sparse_params = {"emb": p0.copy()}
         dense_params = {"emb": p0.copy()}
         sparse_state = AdamState.init(sparse_params)
         dense_state = AdamState.init(dense_params)
-        lives = []
         for grad in grads:
             adam_step(sparse_params, {"emb": grad}, sparse_state, lr=0.05)
             adam_step(dense_params, {"emb": np.asarray(grad)}, dense_state, lr=0.05)
@@ -116,10 +177,8 @@ class TestAdam:
                               (sparse_state.m["emb"], dense_state.m["emb"]),
                               (sparse_state.v["emb"], dense_state.v["emb"])):
                 assert got.tobytes() == want.tobytes()
-            live = sparse_state.live["emb"]
-            lives.append(None if live is None else live.copy())
         assert sparse_state.step == dense_state.step == len(grads)
-        return lives, sparse_params["emb"]
+        return sparse_params["emb"]
 
     @staticmethod
     def row_grad(rng, rows, shape):
@@ -135,41 +194,27 @@ class TestAdam:
                                (12, 3)) for _ in range(5)]
         self.assert_matches_dense(p0, grads)
 
-    def test_untouched_rows_are_skipped_bitwise(self, monkeypatch):
-        # Every touched row is even and below 40, so live never passes a
-        # third of the 60 rows; two rows per block give several blocks.
-        monkeypatch.setattr(training, "_ADAM_GATHER_BLOCK", 6)
+    def test_untouched_rows_are_skipped_bitwise(self):
+        # Every touched row is even and below 40: rows no gradient has
+        # reached have m = v = 0, so the whole-table pass leaves their bytes.
         rng = np.random.default_rng(8)
         p0 = rng.normal(size=(60, 3))
         grads = [self.row_grad(rng, rng.choice(np.arange(0, 40, 2), size=k, replace=False),
                                p0.shape) for k in (3, 1, 5, 0, 4, 2)]
-        lives, p = self.assert_matches_dense(p0, grads)
+        p = self.assert_matches_dense(p0, grads)
         touched = np.unique(np.concatenate([g.rows for g in grads]))
-        assert all(live is not None for live in lives)
-        np.testing.assert_array_equal(lives[-1], touched)
         untouched = np.setdiff1d(np.arange(60), touched)
         assert p[untouched].tobytes() == p0[untouched].tobytes()
         assert not np.array_equal(p[touched], p0[touched])
 
-    def test_live_rows_switch_to_whole_table_part_way(self, monkeypatch):
-        # Three new rows a step in a 30-row table: live holds 9 rows after
-        # step three and 12 after step four, past a third of the table.
-        monkeypatch.setattr(training, "_ADAM_GATHER_BLOCK", 6)
-        rng = np.random.default_rng(9)
-        grads = [self.row_grad(rng, [3 * t, 3 * t + 1, 3 * t + 2], (30, 3)) for t in range(6)]
-        lives, _ = self.assert_matches_dense(rng.normal(size=(30, 3)), grads)
-        assert [live is None for live in lives] == [False] * 3 + [True] * 3
-
     @pytest.mark.parametrize("dense_at", [0, 2])
     def test_dense_and_row_sparse_gradients_mix_bitwise(self, dense_at):
-        # A dense gradient for a table, before or after row-sparse ones,
-        # switches it to the whole-table update for good.
+        # A dense gradient for a table, before or after row-sparse ones.
         rng = np.random.default_rng(10)
         grads = [self.row_grad(rng, rng.choice(6, size=3, replace=False), (40, 3))
                  for _ in range(4)]
         grads[dense_at] = rng.normal(size=(40, 3))
-        lives, _ = self.assert_matches_dense(rng.normal(size=(40, 3)), grads)
-        assert [live is None for live in lives] == [i >= dense_at for i in range(4)]
+        self.assert_matches_dense(rng.normal(size=(40, 3)), grads)
 
     def test_blocked_update_matches_whole_array_formula(self):
         # 3000 x 64 spans several blocks of the dense pass; the oracle is
@@ -329,44 +374,80 @@ class TestTrain:
             result.best_val_loss, rel=1e-12
         )
 
+    @pytest.mark.parametrize("buckets", [512, 4096])
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_gather_switch_share_leaves_training_bitwise(self, arch, monkeypatch):
-        # A 300-word vocabulary in 512 buckets: the embedding tables pass a
-        # third touched within the first few of 15 steps. Whole tables
-        # from the first step (the dense update), the default switch, and
-        # gathering throughout must train to the same bytes.
+    def test_matches_full_table_oracle_bitwise(self, arch, buckets):
+        # A 300-word vocabulary: in 512 buckets the training split touches
+        # more than a third of each table, in 4096 far less. At this rate
+        # validation loss turns up before the last epoch, so an earlier
+        # epoch's weights are restored.
         splits = generate_corpus(GenConfig(
             n_articles=2, vocab=300, train_size=40, validation_size=12, test_size=12,
         ))
-        adam_step = training.adam_step
-        runs = []
-        for share in (0.0, training._ADAM_GATHER_MAX_SHARE, 1.0):
-            gathering = []
+        config = fast_config(vocab_buckets=buckets, learning_rate=1.0, max_epochs=5)
+        result = assert_trains_like_oracle(arch, config, splits)
+        assert result.best_epoch < config.max_epochs
 
-            def traced(params, grads, state, lr, **kwargs):
-                adam_step(params, grads, state, lr, **kwargs)
-                gathering.append(any(state.live[name] is not None for name, g in grads.items()
-                                     if isinstance(g, RowGrad)))
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_precomputed_encoder_matches_oracle_bitwise(self, arch):
+        splits = small_corpus()
+        rng = np.random.default_rng(2)
+        cases = splits.train + splits.validation + splits.test
+        vectors = PrecomputedEncoder({c.case_id: rng.normal(size=8) for c in cases}, dim=8)
+        config = fast_config(encoder="precomputed")
+        result = assert_trains_like_oracle(arch, config, splits, vectors)
+        assert all(enc is vectors for enc in result.model.encoders.values())
 
-            monkeypatch.setattr(training, "_ADAM_GATHER_MAX_SHARE", share)
-            monkeypatch.setattr(training, "adam_step", traced)
-            result = train(arch, fast_config(vocab_buckets=512), splits)
-            runs.append((gathering, result))
-        assert not any(runs[0][0]) and all(runs[2][0])
-        switched = runs[1][0]
-        assert switched[0] and not switched[-1]
-        assert switched == sorted(switched, reverse=True)
-        want = runs[0][1]
-        for _, got in runs[1:]:
-            assert got.log == want.log
-            for name, p in want.model.params.items():
-                assert got.model.params[name].tobytes() == p.tobytes()
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_rows_outside_training_keep_initial_bytes(self, arch, tiny_splits):
+        # Rows hashed from validation tokens only, from test tokens only, or
+        # from no token at all never get a gradient.
+        config = fast_config(vocab_buckets=4096)
+
+        def rows(cases):
+            return np.unique(np.concatenate(
+                [tokenize(c.facts, config.max_tokens, config.vocab_buckets) for c in cases]))
+
+        seen_train = rows(tiny_splits.train)
+        seen_val = rows(tiny_splits.validation)
+        seen_test = rows(tiny_splits.test)
+        val_only = np.setdiff1d(seen_val, seen_train)
+        test_only = np.setdiff1d(seen_test, np.union1d(seen_train, seen_val))
+        nowhere = np.setdiff1d(np.arange(config.vocab_buckets),
+                               np.union1d(np.union1d(seen_train, seen_val), seen_test))
+        assert len(val_only) and len(test_only) and len(nowhere)
+        untrained = np.concatenate([val_only, test_only, nowhere])
+        initial = initial_model(arch, config, tiny_splits)[0].params
+        result = train(arch, config, tiny_splits)
+        for name, emb in result.model.params.items():
+            if name.endswith(".emb"):
+                assert emb[untrained].tobytes() == initial[name][untrained].tobytes()
+                assert not np.array_equal(emb[seen_train], initial[name][seen_train])
+
+    def test_training_without_tokens(self, tiny_splits):
+        # Training and validation facts that tokenize to nothing leave no
+        # embedding row to train: the compact tables have zero rows.
+        splits = tiny_splits
+        for cases in (splits.train, splits.validation):
+            cases[:] = [replace(c, facts="--- !!! ...") for c in cases]
+        config = fast_config()
+        initial = initial_model("claim_outcome", config, splits)[0].params
+        result = train("claim_outcome", config, splits)
+        assert [e["epoch"] for e in result.log] == [1, 2, 3]
+        assert all(math.isfinite(e["val_loss"]) for e in result.log)
+        for name in ("claim_enc.emb", "outcome_enc.emb"):
+            assert result.model.params[name].tobytes() == initial[name].tobytes()
 
     def test_restored_weights_keep_encoder_alias(self):
+        # Training runs on compact tables; the model must get back full
+        # tables, still shared between params and the encoders.
         splits = small_corpus()
-        result = train("mtl", fast_config(), splits)
-        model = result.model
-        assert model.params["enc.emb"] is model.encoders["enc"].embedding
+        config = fast_config()
+        for arch in ARCHITECTURES:
+            model = train(arch, config, splits).model
+            for name, enc in model.encoders.items():
+                assert enc.embedding.shape == (config.vocab_buckets, config.dim)
+                assert model.params[f"{name}.emb"] is enc.embedding
 
     def test_unknown_arch(self):
         with pytest.raises(UsageError, match="unknown architecture"):
