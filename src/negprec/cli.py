@@ -33,6 +33,7 @@ from .evaluation import (
     per_case_scores,
     permutation_test,
     random_baseline,
+    random_report_row,
     read_predictions,
     render_report,
     report_to_csv,
@@ -278,17 +279,7 @@ def cmd_eval(args) -> int:
             corpus=corpus_name,
             scores={k: None if v is None else 100.0 * v for k, v in scores.items()},
         ),
-        ReportRow(
-            model="random",
-            encoder="-",
-            corpus=corpus_name,
-            scores={
-                "pos": 100.0 * random_stats["pos"]["mean"],
-                "neg": 100.0 * random_stats["neg"]["mean"],
-                "null": 100.0 * random_stats["null"]["mean"],
-                "all": 100.0 * sum(random_stats[c]["mean"] for c in ("pos", "neg", "null")) / 3.0,
-            },
-        ),
+        random_report_row(random_stats, corpus_name),
     ]
     print(render_report(rows), end="")
     if args.report:

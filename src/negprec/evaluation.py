@@ -213,8 +213,8 @@ def permutation_test(
     d = a - b
     n = len(d)
     observed = abs(float(d.mean()))
-    chunk = 1 << 14
     if n <= EXHAUSTIVE_LIMIT:
+        chunk = 1 << 14
         total = 1 << n
         hits = 0
         bits = np.arange(n, dtype=np.uint32)
@@ -230,8 +230,12 @@ def permutation_test(
     rng = np.random.default_rng(seed)
     hits = 0
     remaining = resamples
+    # Blocks of about 2^20 signs (8 MB as float64), so memory does not grow
+    # with n. Each sign is one 32-bit draw, so the signs drawn do not depend
+    # on the block size.
+    block = max(1, (1 << 20) // n)
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(block, remaining)
         signs = rng.integers(0, 2, size=(take, n)).astype(np.float64) * 2 - 1
         means = np.abs(signs @ d) / n
         hits += int(np.sum(means >= observed))
@@ -357,6 +361,15 @@ class ReportRow:
     def cell(self, key: str) -> str:
         value = self.scores.get(key)
         return "-" if value is None else f"{value:.2f}"
+
+
+def random_report_row(stats: dict[str, dict[str, float]], corpus: str) -> ReportRow:
+    """The random baseline's report row (percent scale) from random_baseline's
+    per-class statistics."""
+    names = ("pos", "neg", "null")
+    scores = {c: 100.0 * stats[c]["mean"] for c in names}
+    scores["all"] = 100.0 * sum(stats[c]["mean"] for c in names) / 3.0
+    return ReportRow(model="random", encoder="-", corpus=corpus, scores=scores)
 
 
 def rows_from_published(corpus: str) -> list[ReportRow]:

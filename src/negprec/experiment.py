@@ -26,6 +26,7 @@ from .evaluation import (
     per_case_scores,
     permutation_test,
     random_baseline,
+    random_report_row,
     score_predictions,
     write_predictions,
 )
@@ -129,7 +130,7 @@ def parse_manifest(path: str | Path) -> ExperimentManifest:
 
 
 def predict_model(model: Model, dataset: Dataset, articles: tuple[int, ...]) -> Predictions:
-    if model.arch in ("joint", "claim_outcome"):
+    if hasattr(model, "predict_labels"):
         return Predictions(
             case_ids=list(dataset.case_ids),
             articles=articles,
@@ -216,25 +217,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
             )
 
     random_stats = random_baseline(gold, manifest.random_instantiations, seed=0)
-    rows.append(
-        ReportRow(
-            model="random",
-            encoder="-",
-            corpus=manifest.corpus_name,
-            scores={
-                "pos": 100.0 * random_stats["pos"]["mean"],
-                "neg": 100.0 * random_stats["neg"]["mean"],
-                "null": 100.0 * random_stats["null"]["mean"],
-                "all": 100.0
-                * (
-                    random_stats["pos"]["mean"]
-                    + random_stats["neg"]["mean"]
-                    + random_stats["null"]["mean"]
-                )
-                / 3.0,
-            },
-        )
-    )
+    rows.append(random_report_row(random_stats, manifest.corpus_name))
 
     from .evaluation import render_report, report_to_csv
 

@@ -1,21 +1,24 @@
 """The four prediction architectures and their probability algebra.
 
-Every architecture maps a facts encoding x through per-article heads built
-from one hidden ReLU layer:
+An architecture is a heads table plus a loss rule. Each head reads one
+facts encoder through a per-article hidden ReLU layer into 1 or 3 logits
+per article; Model runs the one forward and backward pass for any table:
 
-  simple baseline  two independent binary heads (positive, negative), each
-                   with its own encoder
-  mtl baseline     the same two binary heads sharing one encoder
-  joint            one 3-way softmax per article over the admissible
-                   (outcome, claim) configurations (POS,y), (NEG,y), (NULL,n)
-  claim-outcome    a claim head p(claim|f) and an outcome head
-                   p(POS|claim,f) on separate encoders, multiplied out to a
-                   3-way distribution
+  simple         ("pos", "pos_enc", 1), ("neg", "neg_enc", 1): two
+                 independent binary heads, each with its own encoder
+  mtl            ("pos", "enc", 1), ("neg", "enc", 1): the same heads
+                 sharing one encoder
+  joint          ("joint", "enc", 3): one 3-way softmax per article over the
+                 admissible (outcome, claim) configurations (POS,y), (NEG,y),
+                 (NULL,n)
+  claim_outcome  ("claim", "claim_enc", 1), ("outcome", "outcome_enc", 1):
+                 p(claim|f) times p(POS|claim,f), multiplied out to a 3-way
+                 distribution
 
 Probability vectors are float64 arrays whose last axis is ordered
 (POS, NEG, NULL); argmax over that axis implements the POS > NEG > NULL
-tie-break. All backward passes are written out by hand so they can be
-audited coordinate-by-coordinate against finite differences.
+tie-break. The backward pass is written out by hand so it can be audited
+coordinate-by-coordinate against finite differences.
 """
 
 from __future__ import annotations
@@ -94,48 +97,28 @@ def decide_baseline(
 # head math
 # --------------------------------------------------------------------------
 
-
-def _init_hidden(rng: np.random.Generator, n_articles: int, hidden: int, dim: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(dim)
-    return rng.uniform(-bound, bound, size=(n_articles, hidden, dim))
-
-
-def _init_scalar_out(rng: np.random.Generator, n_articles: int, hidden: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(hidden)
-    return rng.uniform(-bound, bound, size=(n_articles, hidden))
+# einsum subscripts of a head's output weights and logits by width: a
+# scalar head has out_w (K, H) and logits (B, K), a triple head out_w
+# (K, 3, H) and logits (B, K, 3).
+_OUT_SUBSCRIPTS = {1: ("kh", "bk"), 3: ("koh", "bko")}
 
 
-def _init_triple_out(rng: np.random.Generator, n_articles: int, hidden: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(hidden)
-    return rng.uniform(-bound, bound, size=(n_articles, 3, hidden))
+def _head_forward(hidden_w, out_w, x, width):
+    """Per-article hidden ReLU layer, then the output layer. Returns the
+    hidden activation and the logits."""
+    w, z = _OUT_SUBSCRIPTS[width]
+    hid = np.einsum("khd,bd->bkh", hidden_w, x)
+    np.maximum(hid, 0.0, out=hid)
+    return hid, np.einsum(f"{w},bkh->{z}", out_w, hid)
 
 
-def _hidden_forward(hidden_w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    pre = np.einsum("khd,bd->bkh", hidden_w, x)
-    return pre, np.maximum(pre, 0.0)
-
-
-def _scalar_head(out_w: np.ndarray, hid: np.ndarray) -> np.ndarray:
-    return np.einsum("kh,bkh->bk", out_w, hid)
-
-
-def _triple_head(out_w: np.ndarray, hid: np.ndarray) -> np.ndarray:
-    return np.einsum("koh,bkh->bko", out_w, hid)
-
-
-def _scalar_head_backward(dz, x, hidden_w, out_w, pre, hid):
-    """dz: (B,K) upstream on the scalar logit. Returns grads and dx."""
-    d_out = np.einsum("bk,bkh->kh", dz, hid)
-    dpre = (dz[:, :, None] * out_w[None, :, :]) * (pre > 0)
-    d_hidden = np.einsum("bkh,bd->khd", dpre, x)
-    dx = np.einsum("bkh,khd->bd", dpre, hidden_w)
-    return d_out, d_hidden, dx
-
-
-def _triple_head_backward(dlogits, x, hidden_w, out_w, pre, hid):
-    """dlogits: (B,K,3) upstream. Returns grads and dx."""
-    d_out = np.einsum("bko,bkh->koh", dlogits, hid)
-    dpre = np.einsum("koh,bko->bkh", out_w, dlogits) * (pre > 0)
+def _head_backward(dlogits, x, hidden_w, out_w, hid, width):
+    """dlogits: upstream on the logits, (B,K) or (B,K,3). Returns grads and dx.
+    hid > 0 exactly where the pre-activation is, so it gives the ReLU mask."""
+    w, z = _OUT_SUBSCRIPTS[width]
+    d_out = np.einsum(f"{z},bkh->{w}", dlogits, hid)
+    dpre = np.einsum(f"{w},{z}->bkh", out_w, dlogits)
+    dpre *= hid > 0
     d_hidden = np.einsum("bkh,bd->khd", dpre, x)
     dx = np.einsum("bkh,khd->bd", dpre, hidden_w)
     return d_out, d_hidden, dx
@@ -155,7 +138,10 @@ def _bce_neglogp(z: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 class Model:
-    """Shared plumbing: encoders, the parameter dict, checkpoint metadata.
+    """One forward and one backward pass for every architecture, driven by
+    the class's heads table of (head, encoder, width): each head reads one
+    encoder (heads may share one) into `width` logits per article.
+    Subclasses add the loss rule (loss_and_grads) and the read-outs.
 
     params maps dotted names to float64 arrays and is the single source of
     truth; trainable encoder embeddings are aliased into it, so optimizer
@@ -163,6 +149,7 @@ class Model:
     """
 
     arch = ""
+    heads: tuple[tuple[str, str, int], ...] = ()
 
     def __init__(
         self,
@@ -176,10 +163,6 @@ class Model:
         self.encoders = encoders
         self.params = params
         self.clamp_warnings = 0
-
-    @property
-    def n_articles(self) -> int:
-        return len(self.index)
 
     @property
     def encoder_kind(self) -> str:
@@ -216,11 +199,40 @@ class Model:
             neglogp = np.where(bad, _NEGLOG_FLOOR, neglogp)
         return neglogp
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        """Zero gradients for the heads. Embedding gradients are row-sparse
-        (encoder.RowGrad) and come from bow_backward whole."""
-        return {name: np.zeros_like(p) for name, p in self.params.items()
-                if not name.endswith(".emb")}
+    def _logits(self, batch, dropout=0.0, rng=None, cache=None) -> dict[str, np.ndarray]:
+        """{head: logits}. Each encoder is encoded and dropped out once, in
+        declaration order, which fixes the order of the dropout draws."""
+        cache = {} if cache is None else cache
+        xs = cache["x"] = {name: self._dropout(self._encode(batch, name), dropout, rng)
+                           for name in self.encoders}
+        logits = {}
+        for head, enc, width in self.heads:
+            cache[head], logits[head] = _head_forward(
+                self.params[f"{head}.hidden_w"], self.params[f"{head}.out_w"], xs[enc][0], width
+            )
+        return logits
+
+    def _backward(self, batch, cache, dlogits: dict[str, np.ndarray]) -> dict:
+        """Gradients of every parameter from {head: d loss / d logits}.
+
+        Heads that read the same encoder add their dx before its dropout
+        mask is applied. Embedding gradients are row-sparse
+        (encoder.RowGrad); precomputed encoders have none."""
+        grads: dict = {}
+        dxs: dict[str, np.ndarray] = {}
+        for head, enc, width in self.heads:
+            d_out, d_hidden, dx = _head_backward(
+                dlogits[head], cache["x"][enc][0], self.params[f"{head}.hidden_w"],
+                self.params[f"{head}.out_w"], cache[head], width,
+            )
+            grads[f"{head}.hidden_w"] = d_hidden
+            grads[f"{head}.out_w"] = d_out
+            dxs[enc] = dxs[enc] + dx if enc in dxs else dx
+        if self.encoder_kind == "hashed_bow":
+            for enc, dx in dxs.items():
+                mask = cache["x"][enc][1]
+                grads[f"{enc}.emb"] = self._emb_grad(batch, enc, dx if mask is None else dx * mask)
+        return grads
 
     def _emb_grad(self, batch, name: str, dx: np.ndarray):
         from .encoder import bow_backward  # looked up per call, so it can be wrapped
@@ -243,35 +255,13 @@ def _targets(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _TwoHeadModel(Model):
-    """Common forward/backward for the simple and mtl baselines; they differ
-    only in whether the two heads share an encoder."""
-
-    pos_enc = "enc"
-    neg_enc = "enc"
-
-    def _logits(self, batch, dropout=0.0, rng=None, cache=None):
-        shared = self.neg_enc == self.pos_enc
-        x_pos, mask_pos = self._dropout(self._encode(batch, self.pos_enc), dropout, rng)
-        if shared:
-            x_neg, mask_neg = x_pos, mask_pos
-        else:
-            x_neg, mask_neg = self._dropout(self._encode(batch, self.neg_enc), dropout, rng)
-        p = self.params
-        pre_pos, hid_pos = _hidden_forward(p["pos.hidden_w"], x_pos)
-        pre_neg, hid_neg = _hidden_forward(p["neg.hidden_w"], x_neg)
-        z_pos = _scalar_head(p["pos.out_w"], hid_pos)
-        z_neg = _scalar_head(p["neg.out_w"], hid_neg)
-        if cache is not None:
-            cache.update(
-                x_pos=x_pos, x_neg=x_neg, mask_pos=mask_pos, mask_neg=mask_neg,
-                pre_pos=pre_pos, hid_pos=hid_pos, pre_neg=pre_neg, hid_neg=hid_neg,
-            )
-        return z_pos, z_neg
+    """The loss of the simple and mtl baselines: two independent binary
+    cross-entropies, one for the positive head and one for the negative."""
 
     def forward(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """Independent per-article probabilities (p_pos, p_neg), no dropout."""
-        z_pos, z_neg = self._logits(batch)
-        return sigmoid(z_pos), sigmoid(z_neg)
+        z = self._logits(batch)
+        return sigmoid(z["pos"]), sigmoid(z["neg"])
 
     def predict_pairs(self, batch, threshold: float = 0.5):
         p_pos, p_neg = self.forward(batch)
@@ -279,88 +269,42 @@ class _TwoHeadModel(Model):
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         cache: dict = {}
-        z_pos, z_neg = self._logits(batch, dropout, rng, cache)
+        z = self._logits(batch, dropout, rng, cache)
         pos_t, neg_t, _ = _targets(batch)
         b = max(len(batch.case_ids), 1)
-        neglogp = self._clamp(_bce_neglogp(z_pos, pos_t)) + self._clamp(
-            _bce_neglogp(z_neg, neg_t)
+        neglogp = self._clamp(_bce_neglogp(z["pos"], pos_t)) + self._clamp(
+            _bce_neglogp(z["neg"], neg_t)
         )
         loss = float(neglogp.sum() / b)
         if not want_grads:
             return loss, None
-        grads = self.zero_grads()
-        p = self.params
-        dz_pos = (sigmoid(z_pos) - pos_t) / b
-        dz_neg = (sigmoid(z_neg) - neg_t) / b
-        d_out, d_hidden, dx_pos = _scalar_head_backward(
-            dz_pos, cache["x_pos"], p["pos.hidden_w"], p["pos.out_w"],
-            cache["pre_pos"], cache["hid_pos"],
-        )
-        grads["pos.out_w"] += d_out
-        grads["pos.hidden_w"] += d_hidden
-        d_out, d_hidden, dx_neg = _scalar_head_backward(
-            dz_neg, cache["x_neg"], p["neg.hidden_w"], p["neg.out_w"],
-            cache["pre_neg"], cache["hid_neg"],
-        )
-        grads["neg.out_w"] += d_out
-        grads["neg.hidden_w"] += d_hidden
-        self._encoder_backward(batch, grads, cache, dx_pos, dx_neg)
-        return loss, grads
-
-    def _encoder_backward(self, batch, grads, cache, dx_pos, dx_neg):
-        raise NotImplementedError
+        dz = {"pos": (sigmoid(z["pos"]) - pos_t) / b, "neg": (sigmoid(z["neg"]) - neg_t) / b}
+        return loss, self._backward(batch, cache, dz)
 
 
 class SimpleBaseline(_TwoHeadModel):
     """Two independent binary classifiers, each with its own encoder."""
 
     arch = "simple"
-    pos_enc = "pos_enc"
-    neg_enc = "neg_enc"
-
-    def _encoder_backward(self, batch, grads, cache, dx_pos, dx_neg):
-        if self.encoder_kind != "hashed_bow":
-            return
-        if cache["mask_pos"] is not None:
-            dx_pos = dx_pos * cache["mask_pos"]
-            dx_neg = dx_neg * cache["mask_neg"]
-        grads["pos_enc.emb"] = self._emb_grad(batch, "pos_enc", dx_pos)
-        grads["neg_enc.emb"] = self._emb_grad(batch, "neg_enc", dx_neg)
+    heads = (("pos", "pos_enc", 1), ("neg", "neg_enc", 1))
 
 
 class MTLBaseline(_TwoHeadModel):
     """The same two binary heads reading one shared encoder."""
 
     arch = "mtl"
-    pos_enc = "enc"
-    neg_enc = "enc"
-
-    def _encoder_backward(self, batch, grads, cache, dx_pos, dx_neg):
-        if self.encoder_kind != "hashed_bow":
-            return
-        dx = dx_pos + dx_neg
-        if cache["mask_pos"] is not None:
-            dx = dx * cache["mask_pos"]
-        grads["enc.emb"] = self._emb_grad(batch, "enc", dx)
+    heads = (("pos", "enc", 1), ("neg", "enc", 1))
 
 
 class JointModel(Model):
     """Per-article 3-way softmax over the admissible configurations."""
 
     arch = "joint"
-
-    def _logits(self, batch, dropout=0.0, rng=None, cache=None):
-        x = self._encode(batch, "enc")
-        x, mask = self._dropout(x, dropout, rng)
-        pre, hid = _hidden_forward(self.params["joint.hidden_w"], x)
-        logits = _triple_head(self.params["joint.out_w"], hid)
-        if cache is not None:
-            cache.update(x=x, mask=mask, pre=pre, hid=hid)
-        return logits
+    heads = (("joint", "enc", 3),)
 
     def forward(self, batch) -> np.ndarray:
         """(B, K, 3) probabilities ordered (POS, NEG, NULL), no dropout."""
-        return softmax(self._logits(batch))
+        return softmax(self._logits(batch)["joint"])
 
     def outcome_distribution(self, batch) -> np.ndarray:
         return self.forward(batch)
@@ -370,7 +314,7 @@ class JointModel(Model):
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         cache: dict = {}
-        logits = self._logits(batch, dropout, rng, cache)
+        logits = self._logits(batch, dropout, rng, cache)["joint"]
         labels = np.asarray(batch.labels, dtype=np.int64)
         b = max(len(batch.case_ids), 1)
         logp = log_softmax(logits)
@@ -379,20 +323,9 @@ class JointModel(Model):
         loss = float(neglogp.sum() / b)
         if not want_grads:
             return loss, None
-        grads = self.zero_grads()
         onehot = np.eye(3, dtype=np.float64)[labels]
         dlogits = (softmax(logits) - onehot) / b
-        d_out, d_hidden, dx = _triple_head_backward(
-            dlogits, cache["x"], self.params["joint.hidden_w"],
-            self.params["joint.out_w"], cache["pre"], cache["hid"],
-        )
-        grads["joint.out_w"] += d_out
-        grads["joint.hidden_w"] += d_hidden
-        if self.encoder_kind == "hashed_bow":
-            if cache["mask"] is not None:
-                dx = dx * cache["mask"]
-            grads["enc.emb"] = self._emb_grad(batch, "enc", dx)
-        return loss, grads
+        return loss, self._backward(batch, cache, {"joint": dlogits})
 
 
 class ClaimOutcomeModel(Model):
@@ -402,28 +335,12 @@ class ClaimOutcomeModel(Model):
     two binary losses are the exact negative log of the factorized joint."""
 
     arch = "claim_outcome"
-
-    def _logits(self, batch, dropout=0.0, rng=None, cache=None):
-        x_claim = self._encode(batch, "claim_enc")
-        x_out = self._encode(batch, "outcome_enc")
-        x_claim, mask_claim = self._dropout(x_claim, dropout, rng)
-        x_out, mask_out = self._dropout(x_out, dropout, rng)
-        p = self.params
-        pre_c, hid_c = _hidden_forward(p["claim.hidden_w"], x_claim)
-        pre_o, hid_o = _hidden_forward(p["outcome.hidden_w"], x_out)
-        z_claim = _scalar_head(p["claim.out_w"], hid_c)
-        z_out = _scalar_head(p["outcome.out_w"], hid_o)
-        if cache is not None:
-            cache.update(
-                x_claim=x_claim, x_out=x_out, mask_claim=mask_claim, mask_out=mask_out,
-                pre_c=pre_c, hid_c=hid_c, pre_o=pre_o, hid_o=hid_o,
-            )
-        return z_claim, z_out
+    heads = (("claim", "claim_enc", 1), ("outcome", "outcome_enc", 1))
 
     def forward(self, batch) -> tuple[np.ndarray, np.ndarray]:
         """(p_claim, p_pos_given_claim), each (B, K), no dropout."""
-        z_claim, z_out = self._logits(batch)
-        return sigmoid(z_claim), sigmoid(z_out)
+        z = self._logits(batch)
+        return sigmoid(z["claim"]), sigmoid(z["outcome"])
 
     def outcome_distribution(self, batch) -> np.ndarray:
         p_claim, p_pos_given_claim = self.forward(batch)
@@ -434,7 +351,8 @@ class ClaimOutcomeModel(Model):
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         cache: dict = {}
-        z_claim, z_out = self._logits(batch, dropout, rng, cache)
+        z = self._logits(batch, dropout, rng, cache)
+        z_claim, z_out = z["claim"], z["outcome"]
         pos_t, _, claim_t = _targets(batch)
         b = max(len(batch.case_ids), 1)
         neglogp_claim = self._clamp(_bce_neglogp(z_claim, claim_t))
@@ -443,48 +361,16 @@ class ClaimOutcomeModel(Model):
         loss = float(neglogp.sum() / b)
         if not want_grads:
             return loss, None
-        grads = self.zero_grads()
-        p = self.params
-        dz_claim = (sigmoid(z_claim) - claim_t) / b
-        dz_out = ((sigmoid(z_out) - pos_t) * claim_t) / b
-        d_out, d_hidden, dx_claim = _scalar_head_backward(
-            dz_claim, cache["x_claim"], p["claim.hidden_w"], p["claim.out_w"],
-            cache["pre_c"], cache["hid_c"],
-        )
-        grads["claim.out_w"] += d_out
-        grads["claim.hidden_w"] += d_hidden
-        d_out, d_hidden, dx_out = _scalar_head_backward(
-            dz_out, cache["x_out"], p["outcome.hidden_w"], p["outcome.out_w"],
-            cache["pre_o"], cache["hid_o"],
-        )
-        grads["outcome.out_w"] += d_out
-        grads["outcome.hidden_w"] += d_hidden
-        if self.encoder_kind == "hashed_bow":
-            if cache["mask_claim"] is not None:
-                dx_claim = dx_claim * cache["mask_claim"]
-                dx_out = dx_out * cache["mask_out"]
-            grads["claim_enc.emb"] = self._emb_grad(batch, "claim_enc", dx_claim)
-            grads["outcome_enc.emb"] = self._emb_grad(batch, "outcome_enc", dx_out)
-        return loss, grads
+        dz = {
+            "claim": (sigmoid(z_claim) - claim_t) / b,
+            "outcome": ((sigmoid(z_out) - pos_t) * claim_t) / b,
+        }
+        return loss, self._backward(batch, cache, dz)
 
 
 # --------------------------------------------------------------------------
 # construction and checkpoints
 # --------------------------------------------------------------------------
-
-_ENCODER_NAMES = {
-    "simple": ("pos_enc", "neg_enc"),
-    "mtl": ("enc",),
-    "joint": ("enc",),
-    "claim_outcome": ("claim_enc", "outcome_enc"),
-}
-
-_HEAD_NAMES = {
-    "simple": ("pos", "neg"),
-    "mtl": ("pos", "neg"),
-    "joint": ("joint",),
-    "claim_outcome": ("claim", "outcome"),
-}
 
 _MODEL_CLASSES = {
     "simple": SimpleBaseline,
@@ -492,6 +378,23 @@ _MODEL_CLASSES = {
     "joint": JointModel,
     "claim_outcome": ClaimOutcomeModel,
 }
+
+
+def _encoder_names(cls: type[Model]) -> tuple[str, ...]:
+    """The encoders a heads table reads, in order of first use."""
+    return tuple(dict.fromkeys(enc for _, enc, _ in cls.heads))
+
+
+def _head_shapes(
+    cls: type[Model], n_articles: int, hidden: int, dim: int
+) -> dict[str, tuple[int, ...]]:
+    """Each head's hidden and output weight shapes, in declaration order."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for head, _, width in cls.heads:
+        shapes[f"{head}.hidden_w"] = (n_articles, hidden, dim)
+        out = (n_articles, hidden) if width == 1 else (n_articles, width, hidden)
+        shapes[f"{head}.out_w"] = out
+    return shapes
 
 
 def build_model(
@@ -509,10 +412,10 @@ def build_model(
     (encoders, then heads in declaration order) so a seed pins every weight."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-    k = len(index)
+    cls = _MODEL_CLASSES[arch]
     params: dict[str, np.ndarray] = {}
     encoders: dict[str, HashedBowEncoder | PrecomputedEncoder] = {}
-    for enc_name in _ENCODER_NAMES[arch]:
+    for enc_name in _encoder_names(cls):
         if encoder_kind == "hashed_bow":
             enc = HashedBowEncoder.create(rng, vocab_buckets, dim, max_tokens)
             params[f"{enc_name}.emb"] = enc.embedding
@@ -525,13 +428,11 @@ def build_model(
         else:
             raise DataError(f"unknown encoder kind {encoder_kind!r}")
         encoders[enc_name] = enc
-    for head in _HEAD_NAMES[arch]:
-        params[f"{head}.hidden_w"] = _init_hidden(rng, k, hidden, dim)
-        if head == "joint":
-            params[f"{head}.out_w"] = _init_triple_out(rng, k, hidden)
-        else:
-            params[f"{head}.out_w"] = _init_scalar_out(rng, k, hidden)
-    return _MODEL_CLASSES[arch](index=index, hidden=hidden, encoders=encoders, params=params)
+    # Every head weight is uniform in +-1/sqrt(fan-in), its last axis.
+    for name, shape in _head_shapes(cls, len(index), hidden, dim).items():
+        bound = 1.0 / np.sqrt(shape[-1])
+        params[name] = rng.uniform(-bound, bound, size=shape)
+    return cls(index=index, hidden=hidden, encoders=encoders, params=params)
 
 
 def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = None) -> None:
@@ -558,17 +459,14 @@ def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = No
 
 
 def _param_shapes(
-    arch: str, n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
+    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
 ) -> dict[str, tuple[int, ...]]:
     """Every parameter array an architecture has, with its shape."""
     shapes: dict[str, tuple[int, ...]] = {}
     if encoder_kind == "hashed_bow":
-        for enc_name in _ENCODER_NAMES[arch]:
+        for enc_name in _encoder_names(cls):
             shapes[f"{enc_name}.emb"] = (vocab_buckets, dim)
-    for head in _HEAD_NAMES[arch]:
-        shapes[f"{head}.hidden_w"] = (n_articles, hidden, dim)
-        out = (n_articles, 3, hidden) if head == "joint" else (n_articles, hidden)
-        shapes[f"{head}.out_w"] = out
+    shapes.update(_head_shapes(cls, n_articles, hidden, dim))
     return shapes
 
 
@@ -605,7 +503,8 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
                   if name != "_meta"}
     if encoder_kind not in ("hashed_bow", "precomputed"):
         raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
-    expected = _param_shapes(arch, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    cls = _MODEL_CLASSES[arch]
+    expected = _param_shapes(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
     for name, shape in expected.items():
         if name not in params:
             raise DataError(f"{p}: missing weights for {name}")
@@ -617,7 +516,7 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     if unexpected:
         raise DataError(f"{p}: unexpected arrays {', '.join(unexpected)}")
     encoders: dict[str, HashedBowEncoder | PrecomputedEncoder] = {}
-    for enc_name in _ENCODER_NAMES[arch]:
+    for enc_name in _encoder_names(cls):
         if encoder_kind == "hashed_bow":
             encoders[enc_name] = HashedBowEncoder(
                 embedding=params[f"{enc_name}.emb"], max_tokens=max_tokens
@@ -629,6 +528,6 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
                 raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
                                 f"the checkpoint expects {dim}")
             encoders[enc_name] = vectors
-    model = _MODEL_CLASSES[arch](index=index, hidden=hidden, encoders=encoders, params=params)
+    model = cls(index=index, hidden=hidden, encoders=encoders, params=params)
     model.checkpoint_meta = meta
     return model

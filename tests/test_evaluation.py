@@ -26,6 +26,7 @@ from negprec.evaluation import (
     per_case_scores,
     permutation_test,
     random_baseline,
+    random_report_row,
     read_predictions,
     read_report_csv,
     render_report,
@@ -307,6 +308,17 @@ class TestRandomBaseline:
             expected = oracle_expected_random_f1(n_gold, 60 - n_gold)
             assert result[CLASS_NAMES[cls]]["mean"] == pytest.approx(expected, abs=0.01)
 
+    def test_report_row(self):
+        """Percent-scale class means, and All their unweighted mean."""
+        gold = make_gold(np.random.default_rng(8).integers(0, 3, (12, 3)).tolist())
+        stats = random_baseline(gold, 30, seed=2)
+        row = random_report_row(stats, "synthetic")
+        assert (row.model, row.encoder, row.corpus) == ("random", "-", "synthetic")
+        means = [stats[name]["mean"] for name in ("pos", "neg", "null")]
+        assert [row.scores[name] for name in ("pos", "neg", "null")] == [100.0 * m for m in means]
+        assert row.scores["all"] == pytest.approx(100.0 * math.fsum(means) / 3.0, rel=1e-15)
+        assert verify_all_arithmetic([row])[0]["ok"]
+
 
 # --------------------------------------------------------------------------
 # permutation test
@@ -364,6 +376,21 @@ class TestPermutationTest:
         assert sampled.mode == "sampled"
         assert sampled.assignments == 20000
         assert sampled.p_value == pytest.approx(exact.p_value, abs=0.02)
+
+    def test_sampled_blocks_match_one_draw(self):
+        """Drawing the sign vectors block by block gives the p-value of one
+        draw of them all: the signs are the same, and with integer
+        differences every sum is exact."""
+        rng = np.random.default_rng(4)
+        n = 300  # 3495 rows per block, so 10000 resamples take three
+        a = rng.integers(0, 5, n).astype(np.float64)
+        b = rng.integers(0, 5, n).astype(np.float64)
+        d = a - b
+        signs = np.random.default_rng(6).integers(0, 2, size=(10000, n)) * 2 - 1
+        hits = int(np.sum(np.abs(signs @ d) / n >= abs(d.mean())))
+        result = permutation_test(a, b, resamples=10000, seed=6)
+        assert result.p_value == hits / 10000
+        assert 0.0 < result.p_value < 1.0
 
     def test_large_inputs_switch_to_sampling(self):
         rng = np.random.default_rng(0)

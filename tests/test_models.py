@@ -426,6 +426,46 @@ class TestGradients:
         batch = make_batch(labels, tokens=tokens)
         assert gradient_check(model, batch) < 1e-6
 
+    def test_gradients_under_dropout(self, arch):
+        """Central differences of the loss with dropout on. A fresh generator
+        per evaluation draws the same masks every time, so this checks the
+        mask on each encoder's dx, and mtl's one mask over its heads' summed
+        dx, against an oracle."""
+        rng = np.random.default_rng(24)
+        model = build_model(
+            arch, INDEX2, rng, dim=5, hidden=3, vocab_buckets=16, max_tokens=8,
+        )
+        tokens = [rng.integers(0, 16, size=rng.integers(1, 8)) for _ in range(6)]
+        batch = make_batch(rng.integers(0, 3, size=(6, 2)), tokens=tokens)
+
+        def loss_and_grads(want_grads):
+            return model.loss_and_grads(
+                batch, dropout=0.5, rng=np.random.default_rng(25), want_grads=want_grads
+            )
+
+        _, grads = loss_and_grads(True)
+        touched = np.unique(np.concatenate(tokens))
+        probe = np.random.default_rng(26)
+        eps = 1e-5
+        for name, p in model.params.items():
+            if name.endswith(".emb"):  # rows the batch reads; others have no gradient
+                rows = probe.choice(touched, size=6)
+                coords = rows * p.shape[1] + probe.integers(0, p.shape[1], size=6)
+            else:
+                coords = probe.choice(p.size, size=6, replace=False)
+            analytic = np.asarray(grads[name])
+            for i in coords:
+                orig = p.flat[i]
+                p.flat[i] = orig + eps
+                above, _ = loss_and_grads(False)
+                p.flat[i] = orig - eps
+                below, _ = loss_and_grads(False)
+                p.flat[i] = orig
+                numeric = (above - below) / (2.0 * eps)
+                a = analytic.flat[i]
+                err = abs(a - numeric) / max(abs(a), abs(numeric), 1.0)
+                assert err < 1e-6, (name, int(i), a, numeric)
+
 
 # --------------------------------------------------------------------------
 # decisions vs exhaustive enumeration
