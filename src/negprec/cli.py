@@ -11,13 +11,13 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     ArticleIndex,
     LabelMatrix,
-    Outcome,
     build_label_matrix,
     filter_articles,
     load_corpus,
@@ -28,6 +28,7 @@ from .corpus import (
 from .encoder import load_vector_table
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
+    NAME_TO_CLASS,
     Predictions,
     ReportRow,
     per_case_scores,
@@ -43,8 +44,8 @@ from .evaluation import (
 from .experiment import parse_manifest, predict_model, run_experiment
 from .extraction import DEFAULT_PATTERNS, build_outcome_corpus, load_patterns
 from .models import ARCHITECTURES, load_checkpoint, save_checkpoint
-from .synth import GenConfig, gen_config_from_mapping, generate_corpus
-from .training import Dataset, TrainConfig, load_train_config, parse_kv_lines, train
+from .synth import GenConfig, generate_corpus
+from .training import Dataset, TrainConfig, comma_list, load_kv, train
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="test", choices=SPLIT_NAMES)
     p.add_argument("--a", required=True, help="first prediction file")
     p.add_argument("--b", required=True, help="second prediction file")
-    p.add_argument("--cls", default="neg", choices=("pos", "neg", "null"))
+    p.add_argument("--cls", default="neg", choices=tuple(NAME_TO_CLASS))
     p.add_argument("--resamples", type=int, default=10000)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_significance)
@@ -165,16 +166,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    if args.config:
-        p = Path(args.config)
-        if not p.is_file():
-            raise UsageError(f"config file not found: {p}")
-        config = gen_config_from_mapping(parse_kv_lines(p.read_text(encoding="utf-8"), p.name), p.name)
-    else:
-        config = GenConfig()
+    config = load_kv(GenConfig, args.config) if args.config else GenConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     splits = generate_corpus(config)
     save_corpus(splits, args.out)
@@ -187,10 +180,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    config = load_train_config(args.config) if args.config else TrainConfig()
+    config = load_kv(TrainConfig, args.config) if args.config else TrainConfig()
     if args.seed is not None:
-        from dataclasses import replace
-
         config = replace(config, seed=args.seed)
     vectors = None
     if config.encoder == "precomputed":
@@ -264,8 +255,13 @@ def cmd_eval(args) -> int:
     gold = build_label_matrix(cases, model.index)
     preds = predict_model(model, ds, model.index.articles)
     corpus_name = Path(args.corpus).name
-    if args.articles:
-        wanted = sorted({int(a) for a in args.articles.split(",") if a.strip()})
+    if args.articles is not None:
+        try:
+            wanted = sorted(set(comma_list(args.articles, int)))
+        except ValueError as exc:
+            raise UsageError(f"--articles: bad article list {args.articles!r}") from exc
+        if not wanted:
+            raise UsageError("--articles names no article")
         preds_scored, gold_scored = _subset_articles(preds, gold, model.index, wanted)
         corpus_name += ":articles=" + "+".join(str(a) for a in wanted)
     else:
@@ -303,7 +299,7 @@ def cmd_significance(args) -> int:
         raise DataError(f"cases missing from {args.split}: {missing[:5]}")
     ordered = [cases[cid] for cid in preds_a.case_ids]
     gold = build_label_matrix(ordered, ArticleIndex(preds_a.articles))
-    cls = {"pos": Outcome.POS, "neg": Outcome.NEG, "null": Outcome.NULL}[args.cls]
+    cls = NAME_TO_CLASS[args.cls]
     result = permutation_test(
         per_case_scores(preds_a, gold, cls),
         per_case_scores(preds_b, gold, cls),

@@ -24,7 +24,7 @@ from .errors import DataError
 log = logging.getLogger(__name__)
 
 CLASS_NAMES = {Outcome.POS: "pos", Outcome.NEG: "neg", Outcome.NULL: "null"}
-_NAME_TO_CLASS = {v: k for k, v in CLASS_NAMES.items()}
+NAME_TO_CLASS = {v: k for k, v in CLASS_NAMES.items()}
 
 # Published reference results for this task: per corpus, per (system,
 # encoder), micro-F1 percentages (pos, neg, null, all). The two-classifier
@@ -305,7 +305,7 @@ def read_predictions(path: str | Path) -> Predictions:
             if "pred" in row:
                 row_kind = "three_way"
                 value: object = row["pred"]
-                if value not in _NAME_TO_CLASS:
+                if value not in NAME_TO_CLASS:
                     raise DataError(f"{where}: unknown class {value!r}")
             elif "pos" in row and "neg" in row:
                 row_kind = "baseline"
@@ -334,7 +334,7 @@ def read_predictions(path: str | Path) -> Predictions:
         labels = np.zeros(shape, dtype=np.int8)
         for i, case_id in enumerate(case_ids):
             for j, article in enumerate(articles):
-                labels[i, j] = _NAME_TO_CLASS[cells[case_id][article]]
+                labels[i, j] = NAME_TO_CLASS[cells[case_id][article]]
         return Predictions(case_ids, articles, "three_way", labels=labels)
     pos = np.zeros(shape, dtype=bool)
     neg = np.zeros(shape, dtype=bool)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -21,6 +21,7 @@ from .corpus import SplitSet, filter_articles, load_corpus
 from .encoder import load_vector_table
 from .errors import UsageError
 from .evaluation import (
+    CLASS_NAMES,
     Predictions,
     ReportRow,
     per_case_scores,
@@ -38,7 +39,7 @@ from .training import (
     GridSpec,
     TrainConfig,
     grid_search,
-    parse_kv_lines,
+    load_kv,
 )
 
 log = logging.getLogger(__name__)
@@ -46,23 +47,46 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ExperimentManifest:
+    """A ``negprec run`` manifest, checked in full on construction (every
+    grid point included), so a bad one fails before any corpus is read. The
+    fields it shares with TrainConfig take TrainConfig's defaults."""
+
     corpus: str
     corpus_name: str = "corpus"
     architectures: tuple[str, ...] = ARCHITECTURES
     seeds: tuple[int, ...] = (0,)
     grid: str = "desk"
-    encoder: str = "hashed_bow"
+    encoder: str = TrainConfig.encoder
     vectors: str = ""
-    batch_size: int = 16
-    max_epochs: int = 10
-    dim: int = 64
-    vocab_buckets: int = 1 << 15
-    max_tokens: int = 512
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    dim: int = TrainConfig.dim
+    vocab_buckets: int = TrainConfig.vocab_buckets
+    max_tokens: int = TrainConfig.max_tokens
     learning_rates: tuple[float, ...] = ()
     dropouts: tuple[float, ...] = ()
     hiddens: tuple[int, ...] = ()
     resamples: int = 10000
     random_instantiations: int = 100
+
+    def __post_init__(self) -> None:
+        for name in ("architectures", "seeds"):
+            values = getattr(self, name)
+            if not values:
+                raise UsageError(f"{name} must not be empty")
+            if len(set(values)) != len(values):
+                raise UsageError(f"{name} must not repeat: {', '.join(map(str, values))}")
+        for arch in self.architectures:
+            if arch not in ARCHITECTURES:
+                raise UsageError(f"unknown architecture {arch!r}")
+        for name in ("resamples", "random_instantiations"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1")
+        # TrainConfig checks the seeds, the shared fields and every grid point.
+        for seed in self.seeds:
+            base = self.base_config(seed)
+        for lr, dr, hidden in self.grid_spec():
+            replace(base, learning_rate=lr, dropout=dr, hidden=hidden)
 
     def grid_spec(self) -> GridSpec:
         if self.grid not in GRID_PRESETS:
@@ -75,58 +99,12 @@ class ExperimentManifest:
         )
 
     def base_config(self, seed: int) -> TrainConfig:
-        return TrainConfig(
-            seed=seed,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            dim=self.dim,
-            vocab_buckets=self.vocab_buckets,
-            max_tokens=self.max_tokens,
-            encoder=self.encoder,
-        )
-
-
-def _split_list(value: str) -> list[str]:
-    return [part.strip() for part in value.split(",") if part.strip()]
+        shared = {f.name for f in fields(TrainConfig)} & {f.name for f in fields(self)}
+        return TrainConfig(seed=seed, **{name: getattr(self, name) for name in shared})
 
 
 def parse_manifest(path: str | Path) -> ExperimentManifest:
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"manifest not found: {p}")
-    mapping = parse_kv_lines(p.read_text(encoding="utf-8"), p.name)
-    known = {f.name for f in fields(ExperimentManifest)}
-    kwargs: dict = {}
-    for key, value in mapping.items():
-        if key not in known:
-            raise UsageError(f"{p.name}: unknown manifest key {key!r}")
-        try:
-            if key in ("architectures",):
-                kwargs[key] = tuple(_split_list(value))
-            elif key in ("seeds",):
-                kwargs[key] = tuple(int(s) for s in _split_list(value))
-            elif key in ("learning_rates", "dropouts"):
-                kwargs[key] = tuple(float(s) for s in _split_list(value))
-            elif key in ("hiddens",):
-                kwargs[key] = tuple(int(s) for s in _split_list(value))
-            elif key in (
-                "batch_size", "max_epochs", "dim", "vocab_buckets",
-                "max_tokens", "resamples", "random_instantiations",
-            ):
-                kwargs[key] = int(value)
-            else:
-                kwargs[key] = value
-        except ValueError as exc:
-            raise UsageError(f"{p.name}: bad value for {key!r}: {value!r}") from exc
-    if "corpus" not in kwargs:
-        raise UsageError(f"{p.name}: manifest must set corpus")
-    manifest = ExperimentManifest(**kwargs)
-    for arch in manifest.architectures:
-        if arch not in ARCHITECTURES:
-            raise UsageError(f"{p.name}: unknown architecture {arch!r}")
-    if not manifest.seeds:
-        raise UsageError(f"{p.name}: seeds must not be empty")
-    return manifest
+    return load_kv(ExperimentManifest, path, kind="manifest")
 
 
 def predict_model(model: Model, dataset: Dataset, articles: tuple[int, ...]) -> Predictions:
@@ -252,15 +230,14 @@ def _significance_matrix(
     predictions: dict[tuple[str, int], Predictions],
     gold,
 ) -> list[dict]:
-    three_way = {"joint", "claim_outcome"}
     records: list[dict] = []
     for arch_a, arch_b in combinations(manifest.architectures, 2):
-        classes = [Outcome.POS, Outcome.NEG]
-        if arch_a in three_way and arch_b in three_way:
-            classes.append(Outcome.NULL)
         for seed in manifest.seeds:
             a = predictions[(arch_a, seed)]
             b = predictions[(arch_b, seed)]
+            classes = [Outcome.POS, Outcome.NEG]
+            if a.kind == b.kind == "three_way":
+                classes.append(Outcome.NULL)
             for cls in classes:
                 result = permutation_test(
                     per_case_scores(a, gold, cls),
@@ -273,7 +250,7 @@ def _significance_matrix(
                         "model_a": arch_a,
                         "model_b": arch_b,
                         "seed": seed,
-                        "cls": {Outcome.POS: "pos", Outcome.NEG: "neg", Outcome.NULL: "null"}[cls],
+                        "cls": CLASS_NAMES[cls],
                         "p_value": result.p_value,
                         "observed": result.observed,
                     }

@@ -77,8 +77,9 @@ class GenConfig:
         for name in ("train_size", "validation_size", "test_size"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
-        if self.filler_tokens < 0:
-            raise UsageError("filler_tokens must be >= 0")
+        for name in ("filler_tokens", "seed"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -179,17 +180,3 @@ def generate_corpus(config: GenConfig) -> SplitSet:
             cases.append(_generate_case(config, layout, name, position))
     return splits
 
-
-def gen_config_from_mapping(mapping: dict[str, str], where: str = "config") -> GenConfig:
-    from dataclasses import fields
-
-    kwargs: dict = {}
-    types = {f.name: f.type for f in fields(GenConfig)}
-    for key, value in mapping.items():
-        if key not in types:
-            raise UsageError(f"{where}: unknown key {key!r}")
-        try:
-            kwargs[key] = float(value) if types[key] == "float" else int(value)
-        except ValueError as exc:
-            raise UsageError(f"{where}: bad value for {key!r}: {value!r}") from exc
-    return GenConfig(**kwargs)

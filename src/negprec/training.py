@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +38,15 @@ class TrainConfig:
     encoder: str = "hashed_bow"
 
     def __post_init__(self) -> None:
-        if self.learning_rate < 0:
-            raise UsageError("learning_rate must be >= 0")
+        if not 0.0 <= self.learning_rate < math.inf:
+            raise UsageError("learning_rate must be finite and >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise UsageError("dropout must be in [0, 1)")
         for name in ("hidden", "batch_size", "max_epochs", "dim", "vocab_buckets", "max_tokens"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
+        if self.seed < 0:
+            raise UsageError("seed must be >= 0")
         if self.encoder not in ("hashed_bow", "precomputed"):
             raise UsageError(f"unknown encoder {self.encoder!r}")
 
@@ -66,29 +68,51 @@ def parse_kv_lines(text: str, where: str = "config") -> dict[str, str]:
     return out
 
 
-def train_config_from_mapping(mapping: dict[str, str], where: str = "config") -> TrainConfig:
+_SCALARS = {"int": int, "float": float, "str": str}
+
+
+def comma_list(text: str, convert) -> tuple:
+    """Comma-separated values, each passed through ``convert``; empty parts
+    are dropped. Raises ValueError for a part ``convert`` rejects."""
+    return tuple(convert(part.strip()) for part in text.split(",") if part.strip())
+
+
+def from_kv(cls, mapping: dict[str, str], where: str = "config", kind: str = ""):
+    """Build the dataclass ``cls`` from ``parse_kv_lines`` output.
+
+    Each value is converted by its field's annotation string: ``int``,
+    ``float``, ``str``, or ``tuple[T, ...]`` of those as a comma list. Fields
+    not in ``mapping`` keep their defaults; ``cls.__post_init__`` validates.
+    ``kind`` ("manifest") names the key in the unknown-key error.
+    """
+    types = {f.name: f.type for f in fields(cls)}
     kwargs: dict = {}
-    types = {f.name: f.type for f in fields(TrainConfig)}
     for key, value in mapping.items():
         if key not in types:
-            raise UsageError(f"{where}: unknown key {key!r}")
+            raise UsageError(f"{where}: unknown {kind + ' ' if kind else ''}key {key!r}")
+        annotation = types[key]
         try:
-            if types[key] == "float":
-                kwargs[key] = float(value)
-            elif types[key] == "int":
-                kwargs[key] = int(value)
+            if annotation.startswith("tuple["):  # "tuple[T, ...]" -> T
+                kwargs[key] = comma_list(value, _SCALARS[annotation[6:-6]])
             else:
-                kwargs[key] = value
+                kwargs[key] = _SCALARS[annotation](value)
         except ValueError as exc:
             raise UsageError(f"{where}: bad value for {key!r}: {value!r}") from exc
-    return TrainConfig(**kwargs)
+    for f in fields(cls):
+        if f.name not in kwargs and f.default is MISSING:
+            raise UsageError(f"{where}: {kind or 'config'} must set {f.name}")
+    try:
+        return cls(**kwargs)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from exc
 
 
-def load_train_config(path: str | Path) -> TrainConfig:
+def load_kv(cls, path: str | Path, kind: str = ""):
+    """Read a ``key = value`` file into the dataclass ``cls`` (see from_kv)."""
     p = Path(path)
     if not p.is_file():
-        raise UsageError(f"config file not found: {p}")
-    return train_config_from_mapping(parse_kv_lines(p.read_text(encoding="utf-8"), p.name), p.name)
+        raise UsageError(f"{kind or 'config file'} not found: {p}")
+    return from_kv(cls, parse_kv_lines(p.read_text(encoding="utf-8"), p.name), p.name, kind)
 
 
 # --------------------------------------------------------------------------

@@ -227,6 +227,18 @@ class TestEval:
         assert code == 1
         assert "not in the checkpoint's index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("articles", ["2,x", ","])
+    def test_bad_article_list_is_usage_error(self, pipeline, articles, capsys):
+        code = main([
+            "eval", "--ckpt", str(pipeline / "joint.npz"),
+            "--corpus", str(pipeline / "corpus"),
+            "--articles", articles,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "usage error:" in err
+        assert "Traceback" not in err
+
     def test_missing_checkpoint_is_data_error(self, pipeline, capsys):
         code = main([
             "eval", "--ckpt", str(pipeline / "absent.npz"),
@@ -321,6 +333,22 @@ class TestRun:
         manifest.write_text("architectures = simple\n", encoding="utf-8")
         assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "x")]) == 1
         assert "must set corpus" in capsys.readouterr().err
+
+    def test_bad_manifest_writes_nothing(self, pipeline, tmp_path, capsys):
+        # The manifest is checked in full before the corpus is read.
+        manifest = tmp_path / "manifest.cfg"
+        manifest.write_text(
+            f"corpus = {pipeline / 'corpus'}\n"
+            "architectures = simple, joint\n"
+            "hiddens = 4\n"
+            "max_epochs = 1\n"
+            "resamples = 0\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "bundle"
+        assert main(["run", "--manifest", str(manifest), "--out", str(out_dir)]) == 1
+        assert "resamples must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.rglob("*"))
 
 
 class TestExtract:

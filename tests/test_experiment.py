@@ -134,6 +134,28 @@ class TestParseManifest:
         with pytest.raises(UsageError, match="bad value for 'seeds'"):
             parse_manifest(path)
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("dropouts = 0.2, 1.5", "dropout must be in"),
+            ("learning_rates = 0.01, -1", "learning_rate must be"),
+            ("batch_size = 0", "batch_size must be >= 1"),
+            ("encoder = bert", "unknown encoder 'bert'"),
+            ("grid = huge", "unknown grid preset 'huge'"),
+            ("resamples = 0", "resamples must be >= 1"),
+            ("random_instantiations = 0", "random_instantiations must be >= 1"),
+            ("architectures = simple, simple", "architectures must not repeat"),
+            ("seeds = 0, 0", "seeds must not repeat"),
+            ("seeds = 0, -1", "seed must be >= 0"),
+            ("architectures =", "architectures must not be empty"),
+        ],
+    )
+    def test_rejects_fault(self, tmp_path, line, message):
+        path = tmp_path / "m.cfg"
+        path.write_text(f"corpus = x\n{line}\n", encoding="utf-8")
+        with pytest.raises(UsageError, match=f"^m.cfg: {message}"):
+            parse_manifest(path)
+
 
 class TestGridResolution:
     def test_preset_used_when_no_overrides(self):

@@ -16,10 +16,10 @@ from negprec.synth import (
     DISTINGUISH_COPIES,
     OUTCOME_SLOTS,
     GenConfig,
-    gen_config_from_mapping,
     generate_corpus,
     vocab_layout,
 )
+from negprec.training import from_kv
 
 POOL = CLAIM_SLOTS + OUTCOME_SLOTS + 1
 
@@ -290,11 +290,15 @@ class TestGenConfig:
         with pytest.raises(UsageError, match="filler_tokens"):
             GenConfig(filler_tokens=-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            GenConfig(seed=-1)
+
 
 class TestGenConfigFromMapping:
     def test_parses_types_by_field(self):
-        config = gen_config_from_mapping(
-            {"n_articles": "2", "vocab": "40", "claim_rate": "0.25", "seed": "7"}
+        config = from_kv(
+            GenConfig, {"n_articles": "2", "vocab": "40", "claim_rate": "0.25", "seed": "7"}
         )
         assert config.n_articles == 2
         assert config.vocab == 40
@@ -303,12 +307,12 @@ class TestGenConfigFromMapping:
         assert config.marker_rate == 0.75  # untouched fields keep defaults
 
     def test_empty_mapping_gives_defaults(self):
-        assert gen_config_from_mapping({}) == GenConfig()
+        assert from_kv(GenConfig, {}) == GenConfig()
 
     def test_unknown_key(self):
         with pytest.raises(UsageError, match="gen.cfg: unknown key 'colour'"):
-            gen_config_from_mapping({"colour": "blue"}, where="gen.cfg")
+            from_kv(GenConfig, {"colour": "blue"}, where="gen.cfg")
 
     def test_bad_value(self):
         with pytest.raises(UsageError, match="bad value for 'vocab'"):
-            gen_config_from_mapping({"vocab": "many"})
+            from_kv(GenConfig, {"vocab": "many"})

@@ -7,7 +7,7 @@ Python scalars, compared against the vectorized in-place implementation.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ import pytest
 from negprec.corpus import ArticleIndex, Outcome, filter_articles
 from negprec.encoder import PrecomputedEncoder, RowGrad, tokenize
 from negprec.errors import DataError, NumericError, UsageError
+from negprec.experiment import ExperimentManifest
 from negprec.models import ARCHITECTURES, build_model
 from negprec.synth import GenConfig, generate_corpus
 from negprec.training import (
@@ -26,11 +27,11 @@ from negprec.training import (
     GridSpec,
     TrainConfig,
     adam_step,
+    from_kv,
     grid_search,
-    load_train_config,
+    load_kv,
     parse_kv_lines,
     train,
-    train_config_from_mapping,
 )
 
 
@@ -264,8 +265,8 @@ class TestConfigParsing:
             parse_kv_lines("just words")
 
     def test_mapping_types(self):
-        config = train_config_from_mapping(
-            {"learning_rate": "0.005", "hidden": "32", "encoder": "hashed_bow"}
+        config = from_kv(
+            TrainConfig, {"learning_rate": "0.005", "hidden": "32", "encoder": "hashed_bow"}
         )
         assert config.learning_rate == 0.005
         assert config.hidden == 32
@@ -273,21 +274,21 @@ class TestConfigParsing:
 
     def test_mapping_unknown_key(self):
         with pytest.raises(UsageError, match="unknown key"):
-            train_config_from_mapping({"learning": "1"})
+            from_kv(TrainConfig, {"learning": "1"})
 
     def test_mapping_bad_value(self):
         with pytest.raises(UsageError, match="bad value"):
-            train_config_from_mapping({"hidden": "many"})
+            from_kv(TrainConfig, {"hidden": "many"})
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("max_epochs = 2\nseed = 9\n")
-        config = load_train_config(path)
+        config = load_kv(TrainConfig, path)
         assert (config.max_epochs, config.seed) == (2, 9)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(UsageError, match="not found"):
-            load_train_config(tmp_path / "none.cfg")
+            load_kv(TrainConfig, tmp_path / "none.cfg")
 
     def test_defaults_are_the_documented_settings(self):
         config = TrainConfig()
@@ -302,17 +303,37 @@ class TestConfigParsing:
         "field,value",
         [
             ("learning_rate", -1.0),
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
             ("dropout", 1.0),
             ("dropout", -0.1),
             ("hidden", 0),
             ("batch_size", 0),
             ("max_epochs", 0),
             ("encoder", "bert"),
+            ("seed", -1),
         ],
     )
     def test_validation(self, field, value):
         with pytest.raises(UsageError):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("cls", [TrainConfig, GenConfig, ExperimentManifest])
+    def test_every_default_round_trips_through_text(self, cls):
+        # Catches a field annotation that from_kv has no converter for.
+        required = {"corpus": "data/corpus"} if cls is ExperimentManifest else {}
+        default = cls(**required)
+        for f in fields(cls):
+            value = getattr(default, f.name)
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            parsed = from_kv(cls, {**required, f.name: text})
+            assert repr(getattr(parsed, f.name)) == repr(value), f.name
+
+    def test_file_name_prefixes_validation_errors(self, tmp_path):
+        path = tmp_path / "train.cfg"
+        path.write_text("dropout = 1.0\n")
+        with pytest.raises(UsageError, match=r"train\.cfg: dropout must be in \[0, 1\)"):
+            load_kv(TrainConfig, path)
 
 
 class TestDataset:
