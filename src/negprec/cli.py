@@ -288,6 +288,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    if args.resamples < 1:
+        raise UsageError("--resamples must be >= 1")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     preds_a = read_predictions(args.a)
     preds_b = read_predictions(args.b)
     if preds_a.articles != preds_b.articles or preds_a.case_ids != preds_b.case_ids:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,7 +157,8 @@ def build_label_matrix(cases: list[Case], index: ArticleIndex) -> LabelMatrix:
     )
 
 
-def _parse_article_list(value: object, what: str, where: str) -> frozenset[int]:
+def parse_article_list(value: object, what: str, where: str) -> frozenset[int]:
+    """A JSON list of integers (not bools, floats or strings) as a set."""
     if not isinstance(value, list) or not all(
         isinstance(a, int) and not isinstance(a, bool) for a in value
     ):
@@ -181,8 +183,8 @@ def parse_case(record: dict, where: str = "record") -> tuple[Case, int]:
         raise DataError(f"{where}: case_id must be a non-empty string")
     if not isinstance(facts, str):
         raise DataError(f"{where}: facts must be a string")
-    claims = _parse_article_list(record["claims"], "claims", where)
-    violated = _parse_article_list(record["violated"], "violated", where)
+    claims = parse_article_list(record["claims"], "claims", where)
+    violated = parse_article_list(record["violated"], "violated", where)
     dropped = len(claims - CORE_ARTICLES) + len(violated - CORE_ARTICLES)
     claims &= CORE_ARTICLES
     violated &= CORE_ARTICLES
@@ -194,28 +196,40 @@ def parse_case(record: dict, where: str = "record") -> tuple[Case, int]:
     return Case(case_id=case_id, facts=facts, claims=claims, violated=violated), dropped
 
 
-def _load_split(path: Path) -> list[Case]:
-    cases: list[Case] = []
-    seen: set[str] = set()
-    dropped = 0
+def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:
+    """Stream ("<file>:<line>", record) for each non-blank line; a line that
+    is not a JSON object, or bytes that are not UTF-8, raise DataError."""
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path.name}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            case, n = parse_case(record, where)
-            dropped += n
-            if case.case_id in seen:
-                raise DataError(f"{where}: duplicate case_id {case.case_id!r}")
-            seen.add(case.case_id)
-            cases.append(case)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path.name}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
+                except RecursionError as exc:
+                    raise DataError(f"{where}: malformed JSON (nested too deeply)") from exc
+                if not isinstance(record, dict):
+                    raise DataError(f"{where}: expected a JSON object")
+                yield where, record
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path.name}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _load_split(path: Path) -> list[Case]:
+    cases: dict[str, Case] = {}
+    dropped = 0
+    for where, record in read_jsonl(path):
+        case, n = parse_case(record, where)
+        dropped += n
+        if case.case_id in cases:
+            raise DataError(f"{where}: duplicate case_id {case.case_id!r}")
+        cases[case.case_id] = case
     if dropped:
         log.warning("%s: dropped %d non-core article ids", path.name, dropped)
-    return cases
+    return list(cases.values())
 
 
 def load_corpus(path: str | Path) -> SplitSet:

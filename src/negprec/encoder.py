@@ -8,14 +8,15 @@ plugging in document embeddings produced elsewhere.
 
 from __future__ import annotations
 
-import json
 import re
+import sys
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .corpus import read_jsonl
 from .errors import DataError
 
 DEFAULT_VOCAB_BUCKETS = 1 << 15
@@ -167,29 +168,22 @@ def load_vector_table(path: str | Path) -> PrecomputedEncoder:
         raise DataError(f"vector file not found: {p}")
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{p.name}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            case_id = row.get("case_id")
-            vector = row.get("vector")
-            if not isinstance(case_id, str) or not isinstance(vector, list):
-                raise DataError(f"{where}: need case_id string and vector list")
-            vec = np.asarray(vector, dtype=np.float64)
-            if vec.ndim != 1 or not np.all(np.isfinite(vec)):
-                raise DataError(f"{where}: vector must be a finite 1-d list")
-            if dim is None:
-                dim = int(vec.shape[0])
-            elif vec.shape[0] != dim:
-                raise DataError(f"{where}: vector length {vec.shape[0]} != {dim}")
-            if case_id in table:
-                raise DataError(f"{where}: duplicate case_id {case_id!r}")
-            table[case_id] = vec
+    for where, row in read_jsonl(p):
+        case_id = row.get("case_id")
+        vector = row.get("vector")
+        if not isinstance(case_id, str) or not isinstance(vector, list):
+            raise DataError(f"{where}: need case_id string and vector list")
+        # NumPy alone would take "1.5" and true, and fail on a huge integer.
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
+            raise DataError(f"{where}: vector must be a finite 1-d list")
+        vec = np.asarray(vector, dtype=np.float64)
+        if dim is None:
+            dim = int(vec.shape[0])
+        elif vec.shape[0] != dim:
+            raise DataError(f"{where}: vector length {vec.shape[0]} != {dim}")
+        if case_id in table:
+            raise DataError(f"{where}: duplicate case_id {case_id!r}")
+        table[case_id] = vec
     if not table:
         raise DataError(f"vector file {p} is empty")
     assert dim is not None

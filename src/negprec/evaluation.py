@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import LabelMatrix, Outcome
+from .corpus import LabelMatrix, Outcome, read_jsonl
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -289,39 +289,31 @@ def read_predictions(path: str | Path) -> Predictions:
         raise DataError(f"prediction file not found: {p}")
     cells: dict[str, dict[int, object]] = {}
     kind: str | None = None
-    with p.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{p.name}:{lineno}"
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-            case_id = row.get("case_id")
-            article = row.get("article")
-            if not isinstance(case_id, str) or not isinstance(article, int):
-                raise DataError(f"{where}: need case_id string and article int")
-            if "pred" in row:
-                row_kind = "three_way"
-                value: object = row["pred"]
-                if value not in NAME_TO_CLASS:
-                    raise DataError(f"{where}: unknown class {value!r}")
-            elif "pos" in row and "neg" in row:
-                row_kind = "baseline"
-                if not isinstance(row["pos"], bool) or not isinstance(row["neg"], bool):
-                    raise DataError(f"{where}: pos and neg must be booleans")
-                value = (row["pos"], row["neg"])
-            else:
-                raise DataError(f"{where}: need either pred or pos/neg fields")
-            if kind is None:
-                kind = row_kind
-            elif kind != row_kind:
-                raise DataError(f"{where}: mixed prediction kinds in one file")
-            per_case = cells.setdefault(case_id, {})
-            if article in per_case:
-                raise DataError(f"{where}: duplicate cell {case_id!r}/{article}")
-            per_case[article] = value
+    for where, row in read_jsonl(p):
+        case_id = row.get("case_id")
+        article = row.get("article")
+        if not isinstance(case_id, str) or type(article) is not int:
+            raise DataError(f"{where}: need case_id string and article int")
+        if "pred" in row:
+            row_kind = "three_way"
+            value: object = row["pred"]
+            if not isinstance(value, str) or value not in NAME_TO_CLASS:
+                raise DataError(f"{where}: unknown class {value!r}")
+        elif "pos" in row and "neg" in row:
+            row_kind = "baseline"
+            if not isinstance(row["pos"], bool) or not isinstance(row["neg"], bool):
+                raise DataError(f"{where}: pos and neg must be booleans")
+            value = (row["pos"], row["neg"])
+        else:
+            raise DataError(f"{where}: need either pred or pos/neg fields")
+        if kind is None:
+            kind = row_kind
+        elif kind != row_kind:
+            raise DataError(f"{where}: mixed prediction kinds in one file")
+        per_case = cells.setdefault(case_id, {})
+        if article in per_case:
+            raise DataError(f"{where}: duplicate cell {case_id!r}/{article}")
+        per_case[article] = value
     if not cells:
         raise DataError(f"prediction file {p} is empty")
     case_ids = list(cells)

@@ -17,7 +17,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .corpus import SplitSet, filter_articles, load_corpus
+from .corpus import Outcome, SplitSet, build_label_matrix, filter_articles, load_corpus
 from .encoder import load_vector_table
 from .errors import UsageError
 from .evaluation import (
@@ -28,10 +28,11 @@ from .evaluation import (
     permutation_test,
     random_baseline,
     random_report_row,
+    render_report,
+    report_to_csv,
     score_predictions,
     write_predictions,
 )
-from .corpus import build_label_matrix, Outcome
 from .models import ARCHITECTURES, Model, save_checkpoint
 from .training import (
     Dataset,
@@ -82,6 +83,8 @@ class ExperimentManifest:
         for name in ("resamples", "random_instantiations"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
+        if self.encoder == "precomputed" and not self.vectors:
+            raise UsageError("precomputed encoder needs vectors = <path> in the manifest")
         # TrainConfig checks the seeds, the shared fields and every grid point.
         for seed in self.seeds:
             base = self.base_config(seed)
@@ -130,13 +133,18 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
     out.mkdir(parents=True, exist_ok=True)
     splits: SplitSet = load_corpus(manifest.corpus)
     index = filter_articles(splits)
-    vectors = None
-    if manifest.encoder == "precomputed":
-        if not manifest.vectors:
-            raise UsageError("precomputed encoder needs vectors = <path> in the manifest")
-        vectors = load_vector_table(manifest.vectors)
+    vectors = load_vector_table(manifest.vectors) if manifest.encoder == "precomputed" else None
 
     gold = build_label_matrix(splits.test, index)
+    # The grid varies neither max_tokens nor vocab_buckets, so every model
+    # sees the same tokenized test split.
+    test_ds = Dataset.build(
+        splits.test,
+        index,
+        manifest.max_tokens,
+        manifest.vocab_buckets,
+        with_tokens=manifest.encoder == "hashed_bow",
+    )
     grid = manifest.grid_spec()
     rows: list[ReportRow] = []
     run_records: list[dict] = []
@@ -158,13 +166,6 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
                 out / "checkpoints" / f"{tag}.npz",
                 extra_meta={"seed": seed, "learning_rate": best.config.learning_rate,
                             "dropout": best.config.dropout},
-            )
-            test_ds = Dataset.build(
-                splits.test,
-                index,
-                best.config.max_tokens,
-                best.config.vocab_buckets,
-                with_tokens=manifest.encoder == "hashed_bow",
             )
             preds = predict_model(best.model, test_ds, index.articles)
             predictions[(arch, seed)] = preds
@@ -196,8 +197,6 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
 
     random_stats = random_baseline(gold, manifest.random_instantiations, seed=0)
     rows.append(random_report_row(random_stats, manifest.corpus_name))
-
-    from .evaluation import render_report, report_to_csv
 
     (out / "report.csv").write_text(report_to_csv(rows), encoding="utf-8")
     (out / "report.txt").write_text(render_report(rows), encoding="utf-8")

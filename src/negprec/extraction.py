@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import Case, SplitSet, SPLIT_NAMES
+from .corpus import Case, SplitSet, SPLIT_NAMES, parse_article_list, read_jsonl
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -76,7 +76,11 @@ def load_patterns(path: str | Path) -> PatternSet:
     p = Path(path)
     if not p.is_file():
         raise DataError(f"pattern file not found: {p}")
-    return compile_patterns(p.read_text(encoding="utf-8").splitlines(), name=p.name)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{p.name}: not UTF-8 text ({exc.reason})") from exc
+    return compile_patterns(text.splitlines(), name=p.name)
 
 
 DEFAULT_PATTERNS = compile_patterns(_DEFAULT_PATTERN_TEXT.splitlines(), name="default-v1")
@@ -134,11 +138,15 @@ def _load_violations(source: str | Path | dict | None) -> dict[str, frozenset[in
         p = Path(source)
         if not p.is_file():
             raise DataError(f"violations file not found: {p}")
-        mapping = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            mapping = json.loads(p.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+            raise DataError(f"{p.name}: malformed JSON ({exc})") from exc
         if not isinstance(mapping, dict):
             raise DataError(f"violations file {p} must hold a JSON object")
     return {
-        case_id: frozenset(int(a) for a in arts) for case_id, arts in mapping.items()
+        case_id: parse_article_list(arts, f"violated articles of {case_id!r}", "violations")
+        for case_id, arts in mapping.items()
     }
 
 
@@ -154,7 +162,7 @@ def build_outcome_corpus(
     violated. A violations map passed separately overrides the per-document
     field. Claims are the extracted set unioned with the violated set, which
     guarantees every violated article is claimed. Documents without a facts
-    or judgment field are skipped and logged.
+    or judgment field are skipped and logged; kept case_ids must be unique.
 
     Returns the splits plus a coverage report: how much of each violated set
     the patterns recovered on their own, before the union.
@@ -170,48 +178,42 @@ def build_outcome_corpus(
     recovered = total_violated = 0
     per_case: dict[str, dict] = {}
     for path in files:
-        with path.open(encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path.name}:{lineno}"
-                try:
-                    doc = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{where}: malformed JSON ({exc.msg})") from exc
-                case_id = doc.get("case_id")
-                if not isinstance(case_id, str) or not case_id:
-                    raise DataError(f"{where}: case_id must be a non-empty string")
-                facts = doc.get("facts")
-                judgment = doc.get("judgment")
-                if not isinstance(facts, str) or not isinstance(judgment, str):
-                    skipped.append(case_id)
-                    log.info("%s: skipping %s (missing facts or judgment)", where, case_id)
-                    continue
-                split = doc.get("split", "train")
-                if split not in SPLIT_NAMES:
-                    raise DataError(f"{where}: unknown split {split!r}")
-                if violations is not None and case_id in violations:
-                    violated = violations[case_id]
-                else:
-                    violated = frozenset(int(a) for a in doc.get("violated", []))
-                extracted = extract_claims(judgment, patterns)
-                hit = len(extracted & violated)
-                recovered += hit
-                total_violated += len(violated)
-                per_case[case_id] = {
-                    "extracted": sorted(extracted),
-                    "violated": sorted(violated),
-                    "recovered": hit,
-                }
-                splits.split(split).append(
-                    Case(
-                        case_id=case_id,
-                        facts=facts,
-                        claims=extracted | violated,
-                        violated=violated,
-                    )
+        for where, doc in read_jsonl(path):
+            case_id = doc.get("case_id")
+            if not isinstance(case_id, str) or not case_id:
+                raise DataError(f"{where}: case_id must be a non-empty string")
+            facts = doc.get("facts")
+            judgment = doc.get("judgment")
+            if not isinstance(facts, str) or not isinstance(judgment, str):
+                skipped.append(case_id)
+                log.info("%s: skipping %s (missing facts or judgment)", where, case_id)
+                continue
+            split = doc.get("split", "train")
+            if split not in SPLIT_NAMES:
+                raise DataError(f"{where}: unknown split {split!r}")
+            if case_id in per_case:
+                raise DataError(f"{where}: duplicate case_id {case_id!r}")
+            if violations is not None and case_id in violations:
+                violated = violations[case_id]
+            else:
+                violated = parse_article_list(doc.get("violated", []), "violated", where)
+            extracted = extract_claims(judgment, patterns)
+            hit = len(extracted & violated)
+            recovered += hit
+            total_violated += len(violated)
+            per_case[case_id] = {
+                "extracted": sorted(extracted),
+                "violated": sorted(violated),
+                "recovered": hit,
+            }
+            splits.split(split).append(
+                Case(
+                    case_id=case_id,
+                    facts=facts,
+                    claims=extracted | violated,
+                    violated=violated,
                 )
+            )
     for name in SPLIT_NAMES:
         splits.split(name).sort(key=lambda c: c.case_id)
     coverage = {

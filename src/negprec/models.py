@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -470,13 +471,26 @@ def _param_shapes(
     return shapes
 
 
+def _open_npz(p: Path, fh) -> np.lib.npyio.NpzFile:
+    """np.load over an open handle (np.load leaks a handle it opened itself
+    when the zip directory is unreadable); anything but an .npz archive is
+    a DataError."""
+    try:
+        data = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{p} is not a model checkpoint (not an .npz archive)") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataError(f"{p} is not a model checkpoint (not an .npz archive)")
+    return data
+
+
 def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None) -> Model:
     """Read a checkpoint written by save_checkpoint. Every parameter the
     metadata implies must be present with its shape, and nothing else."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
-    with np.load(p, allow_pickle=False) as data:
+    with p.open("rb") as fh, _open_npz(p, fh) as data:
         if "_meta" not in data:
             raise DataError(f"{p} is not a model checkpoint (no metadata entry)")
         try:

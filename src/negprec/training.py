@@ -112,7 +112,11 @@ def load_kv(cls, path: str | Path, kind: str = ""):
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"{kind or 'config file'} not found: {p}")
-    return from_kv(cls, parse_kv_lines(p.read_text(encoding="utf-8"), p.name), p.name, kind)
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{p.name}: not UTF-8 text ({exc.reason})") from exc
+    return from_kv(cls, parse_kv_lines(text, p.name), p.name, kind)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import shutil
 import subprocess
 import sys
 
@@ -43,6 +44,15 @@ def run_cli(*argv: str) -> int:
     """Run the CLI in-process, swallowing its stdout (fixtures only)."""
     with contextlib.redirect_stdout(io.StringIO()):
         return main(list(argv))
+
+
+def assert_exits(capsys, argv: list[str], code: int, message: str) -> None:
+    """The CLI ends with ``code`` and a typed error naming ``message``."""
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    prefix = {1: "usage error: ", 2: "data error: "}[code]
+    assert prefix in err and message in err
+    assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +122,13 @@ class TestSynth:
         assert "config file not found" in capsys.readouterr().err
 
 
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_bytes(b"seed = 0\n# caf\xe9\n")
+        argv = ["synth", "--out", str(tmp_path / "c"), "--config", str(cfg)]
+        assert_exits(capsys, argv, 1, "gen.cfg: not UTF-8 text")
+
+
 class TestStats:
     def test_prints_tables(self, pipeline, capsys):
         assert main(["stats", "--corpus", str(pipeline / "corpus")]) == 0
@@ -127,6 +144,13 @@ class TestStats:
         stats = json.loads(target.read_text(encoding="utf-8"))
         assert set(stats) >= {"splits", "per_article"}
         assert stats["splits"]["train"]["cases"] == 30
+
+    def test_non_utf8_split_is_data_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline / "corpus", corpus)
+        with (corpus / "test.jsonl").open("ab") as fh:
+            fh.write(b'{"case_id": "\xff"}\n')
+        assert_exits(capsys, ["stats", "--corpus", str(corpus)], 2, "test.jsonl: not UTF-8")
 
     def test_missing_corpus_is_data_error(self, tmp_path, capsys):
         assert main(["stats", "--corpus", str(tmp_path / "absent")]) == 2
@@ -257,6 +281,19 @@ class TestEval:
         assert code == 2
         assert "missing weights for pos.hidden_w" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["text", "empty", "truncated", "npy"])
+    def test_unreadable_checkpoint_is_data_error(self, pipeline, tmp_path, kind, capsys):
+        ckpt = tmp_path / "model.npz"
+        if kind == "npy":
+            with ckpt.open("wb") as fh:
+                np.save(fh, np.ones(3))
+        else:
+            whole = (pipeline / "simple.npz").read_bytes()
+            ckpt.write_bytes({"text": b"not a checkpoint\n", "empty": b"",
+                              "truncated": whole[: len(whole) // 2]}[kind])
+        argv = ["eval", "--ckpt", str(ckpt), "--corpus", str(pipeline / "corpus")]
+        assert_exits(capsys, argv, 2, "is not a model checkpoint")
+
 
 class TestSignificance:
     @pytest.fixture()
@@ -299,6 +336,28 @@ class TestSignificance:
         ])
         assert code == 2
         assert "different cases or articles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--seed", "-1"), ("--resamples", "0")], ids=["seed", "resamples"]
+    )
+    def test_bad_flag_is_usage_error(self, pipeline, prediction_files, flag, value, capsys):
+        argv = [
+            "significance", "--corpus", str(pipeline / "corpus"),
+            "--a", str(prediction_files["joint"]), "--b", str(prediction_files["simple"]),
+            flag, value,
+        ]
+        assert_exits(capsys, argv, 1, f"{flag} must be")
+
+    def test_non_object_prediction_line_is_data_error(
+        self, pipeline, prediction_files, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(prediction_files["simple"].read_bytes() + b"[1, 2]\n")
+        argv = [
+            "significance", "--corpus", str(pipeline / "corpus"),
+            "--a", str(prediction_files["joint"]), "--b", str(bad),
+        ]
+        assert_exits(capsys, argv, 2, "expected a JSON object")
 
 
 class TestRun:
@@ -351,6 +410,14 @@ class TestRun:
         assert not out_dir.exists() or not any(out_dir.rglob("*"))
 
 
+    def test_non_utf8_manifest_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.cfg"
+        manifest.write_bytes(b"corpus = caf\xe9\n")
+        argv = ["run", "--manifest", str(manifest), "--out", str(tmp_path / "x")]
+        assert_exits(capsys, argv, 1, "manifest.cfg: not UTF-8 text")
+        assert not (tmp_path / "x").exists()
+
+
 class TestExtract:
     def test_builds_corpus_from_raw_documents(self, tmp_path, capsys):
         raw = tmp_path / "raw"
@@ -387,6 +454,40 @@ class TestExtract:
         assert [c.case_id for c in corpus.validation] == ["app-2"]
         assert corpus.validation[0].claims == frozenset({8})
         assert corpus.validation[0].violated == frozenset()
+
+    @pytest.mark.parametrize(
+        "lines,violations,message",
+        [
+            (['[1, 2]'], None, "batch.jsonl:1: expected a JSON object"),
+            (['{"case_id": "a", "facts": "f", "judgment": "j", "violated": ["x"]}'], None,
+             "batch.jsonl:1: violated must be a list of integers"),
+            (['{"case_id": "a", "facts": "f", "judgment": "j"}'], "not json",
+             "violations.json: malformed JSON"),
+            (['{"case_id": "a", "facts": "f", "judgment": "j"}'] * 2, None,
+             "batch.jsonl:2: duplicate case_id 'a'"),
+        ],
+        ids=["non-object", "bad-violated", "bad-violations-file", "repeated-case-id"],
+    )
+    def test_bad_input_is_data_error(self, tmp_path, lines, violations, message, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "batch.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["extract", "--raw", str(raw), "--out", str(tmp_path / "corpus")]
+        if violations is not None:
+            (tmp_path / "violations.json").write_text(violations, encoding="utf-8")
+            argv += ["--violations", str(tmp_path / "violations.json")]
+        assert_exits(capsys, argv, 2, message)
+        assert not (tmp_path / "corpus").exists()
+
+    def test_non_utf8_pattern_file_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "batch.jsonl").write_text('{"case_id": "a", "facts": "f", "judgment": "j"}\n')
+        patterns = tmp_path / "pats.txt"
+        patterns.write_bytes(b"# caf\xe9\ninvok\\w*\\s+articles?\\s+(\\d{1,2})\n")
+        argv = ["extract", "--raw", str(raw), "--out", str(tmp_path / "c"),
+                "--patterns", str(patterns)]
+        assert_exits(capsys, argv, 2, "pats.txt: not UTF-8 text")
 
     def test_empty_raw_dir_is_data_error(self, tmp_path, capsys):
         raw = tmp_path / "raw"

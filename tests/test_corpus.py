@@ -25,6 +25,7 @@ from negprec.corpus import (
     filter_articles,
     load_corpus,
     parse_case,
+    read_jsonl,
     save_corpus,
     split_stats,
 )
@@ -225,6 +226,41 @@ class TestCorpusIO:
         (root / "test.jsonl").write_text("")
         with pytest.raises(DataError, match=r"train\.jsonl:1"):
             load_corpus(root)
+
+    def test_non_utf8_split_is_data_error(self, tmp_path):
+        root = tmp_path / "corpus"
+        root.mkdir()
+        (root / "train.jsonl").write_bytes(b'{"case_id": "\xff"}\n')
+        (root / "validation.jsonl").write_text("")
+        (root / "test.jsonl").write_text("")
+        with pytest.raises(DataError, match=r"train\.jsonl: not UTF-8"):
+            load_corpus(root)
+
+
+class TestReadJsonl:
+    def test_yields_where_and_record_skipping_blank_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n  \n{"b": [2]}\n', encoding="utf-8")
+        assert list(read_jsonl(path)) == [("r.jsonl:1", {"a": 1}), ("r.jsonl:4", {"b": [2]})]
+
+    @pytest.mark.parametrize("line", [b"[1, 2]", b"5", b'"text"', b"null"])
+    def test_non_object_line_is_data_error(self, tmp_path, line):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(DataError, match=r"r\.jsonl:2: expected a JSON object"):
+            list(read_jsonl(path))
+
+    def test_deeply_nested_line_is_data_error(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"r\.jsonl:1: malformed JSON"):
+            list(read_jsonl(path))
+
+    def test_non_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"a": "caf\xe9"}\n')
+        with pytest.raises(DataError, match=r"r\.jsonl: not UTF-8 text"):
+            list(read_jsonl(path))
 
 
 class TestFilterArticles:

@@ -245,3 +245,34 @@ class TestLoadVectorTable:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_vector_table(tmp_path / "none.jsonl")
+
+    def test_malformed_json_reports_line(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"case_id": "a", "vector": [1.0]}\n{oops\n')
+        with pytest.raises(DataError, match=r"vectors\.jsonl:2: malformed JSON"):
+            load_vector_table(path)
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            (b"[1, 2]", r"vectors\.jsonl:2: expected a JSON object"),
+            (b'"text"', r"vectors\.jsonl:2: expected a JSON object"),
+            (b'{"case_id": "\xff", "vector": [1.0]}', r"vectors\.jsonl: not UTF-8"),
+        ],
+        ids=["list", "string", "non-utf8"],
+    )
+    def test_bad_line_is_data_error(self, tmp_path, line, match):
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes(b'{"case_id": "a", "vector": [1.0]}\n' + line + b"\n")
+        with pytest.raises(DataError, match=match):
+            load_vector_table(path)
+
+    @pytest.mark.parametrize(
+        "entry", ['"x"', '"1.5"', "true", "1" + "0" * 400],
+        ids=["word", "numeric-string", "bool", "huge-int"],
+    )
+    def test_non_numeric_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"case_id": "a", "vector": [1.0, %s]}\n' % entry)
+        with pytest.raises(DataError, match=r"vectors\.jsonl:1: vector must be a finite 1-d list"):
+            load_vector_table(path)

@@ -497,6 +497,36 @@ class TestPredictionFiles:
         with pytest.raises(DataError, match=r"bad\.jsonl:2"):
             read_predictions(path)
 
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            (b"[1, 2]", r"bad\.jsonl:2: expected a JSON object"),
+            (b"5", r"bad\.jsonl:2: expected a JSON object"),
+            (b'"text"', r"bad\.jsonl:2: expected a JSON object"),
+            (b'{"case_id": "b\xff", "article": 2, "pred": "pos"}', r"bad\.jsonl: not UTF-8"),
+        ],
+        ids=["list", "number", "string", "non-utf8"],
+    )
+    def test_bad_line_is_data_error(self, tmp_path, line, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'{"case_id": "a", "article": 2, "pred": "pos"}\n' + line + b"\n")
+        with pytest.raises(DataError, match=match):
+            read_predictions(path)
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            ('{"case_id": "a", "article": 2, "pred": ["pos"]}', "unknown class"),
+            ('{"case_id": "a", "article": true, "pred": "pos"}', "article int"),
+        ],
+        ids=["list-class", "bool-article"],
+    )
+    def test_bad_field_type(self, tmp_path, line, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(DataError, match=match):
+            read_predictions(path)
+
     def test_unknown_class_name(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"case_id": "a", "article": 2, "pred": "maybe"}\n')

@@ -148,6 +148,7 @@ class TestParseManifest:
             ("seeds = 0, 0", "seeds must not repeat"),
             ("seeds = 0, -1", "seed must be >= 0"),
             ("architectures =", "architectures must not be empty"),
+            ("encoder = precomputed", "precomputed encoder needs vectors"),
         ],
     )
     def test_rejects_fault(self, tmp_path, line, message):
@@ -296,6 +297,6 @@ class TestRunExperiment:
             ).read_bytes()
 
     def test_precomputed_encoder_requires_vectors(self, corpus_dir, tmp_path):
-        manifest = ExperimentManifest(corpus=str(corpus_dir), encoder="precomputed")
         with pytest.raises(UsageError, match="needs vectors"):
+            manifest = ExperimentManifest(corpus=str(corpus_dir), encoder="precomputed")
             run_experiment(manifest, tmp_path / "run")

@@ -219,6 +219,65 @@ class TestBuildOutcomeCorpus:
         with pytest.raises(DataError, match=r"batch\.jsonl:1"):
             build_outcome_corpus(raw)
 
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            (b"[1, 2]", r"batch\.jsonl:1: expected a JSON object"),
+            (b"5", r"batch\.jsonl:1: expected a JSON object"),
+            (b'"text"', r"batch\.jsonl:1: expected a JSON object"),
+            (b'{"case_id": "a", "facts": "\xff", "judgment": ""}', r"batch\.jsonl: not UTF-8"),
+        ],
+        ids=["list", "number", "string", "non-utf8"],
+    )
+    def test_bad_line_is_data_error(self, tmp_path, line, match):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "batch.jsonl").write_bytes(line + b"\n")
+        with pytest.raises(DataError, match=match):
+            build_outcome_corpus(raw)
+
+    @pytest.mark.parametrize(
+        "violated", [["x"], ["6"], [6.0], [6.9], [True], 6, None],
+        ids=["word", "numeric-string", "float", "fraction", "bool", "scalar", "null"],
+    )
+    def test_bad_violated_list_rejected(self, tmp_path, violated):
+        raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6", violated=())])
+        raw_doc = self.doc("b", "invoked Article 6")
+        raw_doc["violated"] = violated
+        write_raw(tmp_path, [raw_doc], filename="more.jsonl")
+        with pytest.raises(DataError, match=r"more\.jsonl:1: violated must be a list of integers"):
+            build_outcome_corpus(raw)
+
+    @pytest.mark.parametrize(
+        "content,match",
+        [
+            (b"not json", r"violations\.json: malformed JSON"),
+            (b'{"a": [6]', r"violations\.json: malformed JSON"),
+            (b'{"a": [6, "\xff"]}', r"violations\.json: malformed JSON"),
+            (b"[" * 100_000, r"violations\.json: malformed JSON"),
+            (b'{"a": ["6"]}', r"violations: violated articles of 'a' must be a list"),
+            (b'{"a": [6.9]}', r"violations: violated articles of 'a' must be a list"),
+        ],
+        ids=["not-json", "truncated", "non-utf8", "deep", "numeric-string", "fraction"],
+    )
+    def test_bad_violations_file_rejected(self, tmp_path, content, match):
+        raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6")])
+        vfile = tmp_path / "violations.json"
+        vfile.write_bytes(content)
+        with pytest.raises(DataError, match=match):
+            build_outcome_corpus(raw, violations_source=vfile)
+
+    def test_bad_violations_map_value_rejected(self, tmp_path):
+        raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6")])
+        with pytest.raises(DataError, match="violated articles of 'a' must be a list"):
+            build_outcome_corpus(raw, violations_source={"a": ["x"]})
+
+    def test_repeated_case_id_rejected(self, tmp_path):
+        raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6")])
+        write_raw(tmp_path, [self.doc("a", "invoked Article 8", split="test")], "more.jsonl")
+        with pytest.raises(DataError, match=r"more\.jsonl:1: duplicate case_id 'a'"):
+            build_outcome_corpus(raw)
+
     def test_empty_raw_dir(self, tmp_path):
         with pytest.raises(DataError, match="no raw"):
             build_outcome_corpus(tmp_path / "missing")
