@@ -233,16 +233,23 @@ def _load_split(path: Path) -> list[Case]:
 
 
 def load_corpus(path: str | Path) -> SplitSet:
-    """Read train.jsonl / validation.jsonl / test.jsonl from a directory."""
+    """Read train.jsonl / validation.jsonl / test.jsonl from a directory.
+    A case_id may appear in one split only, so no model is scored on a case
+    it trained on."""
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"corpus directory not found: {root}")
     splits = {}
+    split_of: dict[str, str] = {}
     for name in SPLIT_NAMES:
         split_path = root / f"{name}.jsonl"
         if not split_path.is_file():
             raise DataError(f"missing split file: {split_path}")
         splits[name] = _load_split(split_path)
+        for case in splits[name]:
+            first = split_of.setdefault(case.case_id, name)
+            if first != name:
+                raise DataError(f"case_id {case.case_id!r} appears in both {first} and {name}")
     return SplitSet(**splits)
 
 

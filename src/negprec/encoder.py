@@ -49,36 +49,7 @@ def bow_encode(token_ids: list[np.ndarray], embedding: np.ndarray) -> np.ndarray
     return out
 
 
-@dataclass(eq=False)
-class RowGrad(np.lib.mixins.NDArrayOperatorsMixin):
-    """Row-sparse gradient of a (rows, dim) embedding table.
-
-    rows holds the sorted unique rows a batch touched and values their
-    accumulated gradients; every other row is zero. NumPy arithmetic and
-    np.asarray see the dense array.
-    """
-
-    rows: np.ndarray
-    values: np.ndarray
-    shape: tuple[int, int]
-
-    @property
-    def nbytes(self) -> int:
-        return self.rows.nbytes + self.values.nbytes
-
-    def __array__(self, dtype=None, copy=None):
-        if copy is False:
-            raise ValueError("a RowGrad has no dense array to share; it must be copied")
-        dense = np.zeros(self.shape, dtype=self.values.dtype)
-        dense[self.rows] = self.values
-        return dense if dtype is None else dense.astype(dtype, copy=False)
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        inputs = tuple(np.asarray(x) if isinstance(x, RowGrad) else x for x in inputs)
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def bow_backward(token_ids: list[np.ndarray], grad_out: np.ndarray, n_rows: int) -> RowGrad:
+def bow_backward(token_ids: list[np.ndarray], grad_out: np.ndarray, n_rows: int) -> np.ndarray:
     """Gradient of bow_encode with respect to an (n_rows, dim) embedding.
 
     Each token id receives grad_out[i] / len(ids); repeated ids accumulate.
@@ -86,17 +57,17 @@ def bow_backward(token_ids: list[np.ndarray], grad_out: np.ndarray, n_rows: int)
     a case, so each row sums them in the order a dense per-token loop does.
     """
     dim = grad_out.shape[1]
-    rows = np.unique(np.concatenate(token_ids)) if token_ids else np.empty(0, dtype=np.int64)
-    values = np.zeros((len(rows), dim), dtype=np.float64)
+    grad = np.zeros((n_rows, dim), dtype=np.float64)
     # np.add.at on the flat view is faster than the row-indexed 2-D form,
-    # and one case at a time keeps the index array small.
-    flat = values.reshape(-1)
+    # and one case at a time keeps the index array small: one np.add.at
+    # over a whole batch of 16 cases was 2-3x slower at 43-425 tokens each.
+    flat = grad.reshape(-1)
     cols = np.arange(dim)
     for i, ids in enumerate(token_ids):
         if len(ids):
-            at = np.add.outer(np.searchsorted(rows, ids) * dim, cols).reshape(-1)
+            at = np.add.outer(ids * dim, cols).reshape(-1)
             np.add.at(flat, at, np.tile(grad_out[i] / len(ids), len(ids)))
-    return RowGrad(rows, values, (n_rows, dim))
+    return grad
 
 
 @dataclass

@@ -123,15 +123,18 @@ def f1_from_counts(tp: int, fp: int, fn: int) -> float:
     return 2.0 * tp / denom
 
 
-def micro_f1(preds: Predictions, gold: LabelMatrix, cls: Outcome) -> float:
-    """Pooled micro-F1 of one class over every (case, article) cell."""
-    _check_aligned(preds, gold)
-    pred_mask = preds.class_mask(cls)
-    gold_mask = gold.labels == cls
+def _f1(pred_mask: np.ndarray, gold_mask: np.ndarray) -> float:
+    """Micro-F1 of two boolean masks over the same cells."""
     tp = int(np.sum(pred_mask & gold_mask))
     fp = int(np.sum(pred_mask & ~gold_mask))
     fn = int(np.sum(~pred_mask & gold_mask))
     return f1_from_counts(tp, fp, fn)
+
+
+def micro_f1(preds: Predictions, gold: LabelMatrix, cls: Outcome) -> float:
+    """Pooled micro-F1 of one class over every (case, article) cell."""
+    _check_aligned(preds, gold)
+    return _f1(preds.class_mask(cls), gold.labels == cls)
 
 
 def all_score(
@@ -165,12 +168,7 @@ def random_baseline(
     for _ in range(instantiations):
         drawn = rng.integers(0, 3, size=(n, k), dtype=np.int8)
         for cls in Outcome:
-            pred_mask = drawn == cls
-            gold_mask = gold.labels == cls
-            tp = int(np.sum(pred_mask & gold_mask))
-            fp = int(np.sum(pred_mask & ~gold_mask))
-            fn = int(np.sum(~pred_mask & gold_mask))
-            per_class[cls].append(f1_from_counts(tp, fp, fn))
+            per_class[cls].append(_f1(drawn == cls, gold.labels == cls))
     return {
         CLASS_NAMES[cls]: {
             "mean": float(np.mean(vals)),
@@ -213,6 +211,9 @@ def permutation_test(
     d = a - b
     n = len(d)
     observed = abs(float(d.mean()))
+    # The paired scores (per_case_scores) are integer counts, so d holds
+    # small integers and each sum in `signs @ d` adds +-1 times them
+    # exactly, in any order: the BLAS thread count cannot change a p-value.
     if n <= EXHAUSTIVE_LIMIT:
         chunk = 1 << 14
         total = 1 << n

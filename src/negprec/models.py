@@ -217,8 +217,8 @@ class Model:
         """Gradients of every parameter from {head: d loss / d logits}.
 
         Heads that read the same encoder add their dx before its dropout
-        mask is applied. Embedding gradients are row-sparse
-        (encoder.RowGrad); precomputed encoders have none."""
+        mask is applied. Embedding gradients are dense over the table;
+        precomputed encoders have none."""
         grads: dict = {}
         dxs: dict[str, np.ndarray] = {}
         for head, enc, width in self.heads:
@@ -484,9 +484,23 @@ def _open_npz(p: Path, fh) -> np.lib.npyio.NpzFile:
     return data
 
 
+def _read_weights(p: Path, data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
+    """One stored parameter as float64; anything but finite real floating
+    point (strings, complex, NaN, an object array) is a DataError."""
+    bad = DataError(f"{p}: {name} must hold finite real floating-point values")
+    try:
+        array = data[name]
+    except ValueError as exc:  # an object array, which allow_pickle=False refuses
+        raise bad from exc
+    if array.dtype.kind != "f" or not np.isfinite(array).all():
+        raise bad
+    return np.asarray(array, dtype=np.float64)
+
+
 def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None) -> Model:
     """Read a checkpoint written by save_checkpoint. Every parameter the
-    metadata implies must be present with its shape, and nothing else."""
+    metadata implies must be present with its shape, and nothing else; every
+    array must hold finite real floating-point values."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
@@ -513,8 +527,7 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
             encoder_kind = meta["encoder_kind"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{p}: malformed checkpoint metadata ({exc!r})") from exc
-        params = {name: np.asarray(data[name], dtype=np.float64) for name in data.files
-                  if name != "_meta"}
+        params = {name: _read_weights(p, data, name) for name in data.files if name != "_meta"}
     if encoder_kind not in ("hashed_bow", "precomputed"):
         raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]

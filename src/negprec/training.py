@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import ArticleIndex, Case, SplitSet, build_label_matrix, filter_articles
-from .encoder import PrecomputedEncoder, RowGrad, tokenize
+from .encoder import PrecomputedEncoder, tokenize
 from .errors import DataError, NumericError, UsageError
 from .models import ARCHITECTURES, Model, build_model
 
@@ -192,21 +192,23 @@ class AdamState:
         )
 
 
-def _adam_update(p, m, v, at, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
-    """Adam on p, m and v in place; g holds the gradient of rows at."""
-    m *= beta1
-    m[at] += (1.0 - beta1) * g
-    v *= beta2
-    v[at] += (1.0 - beta2) * (g * g)
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same operations
-    # in the same order, over blocks of rows, so the two temporaries
-    # stay in cache and add little to peak memory.
+def _adam_update(p, m, v, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
+    """Adam on p, m and v in place from the dense gradient g."""
+    # m = beta1 m + (1 - beta1) g, v likewise, then
+    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same elementwise
+    # operations in the same order, over blocks of rows, so every
+    # temporary stays in cache and adds little to peak memory.
     block_rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
     for lo in range(0, len(p), block_rows):
         block = slice(lo, lo + block_rows)
-        step = np.divide(m[block], bc1)
+        mb, vb, gb = m[block], v[block], g[block]
+        mb *= beta1
+        mb += (1.0 - beta1) * gb
+        vb *= beta2
+        vb += (1.0 - beta2) * (gb * gb)
+        step = np.divide(mb, bc1)
         step *= lr
-        denom = np.divide(v[block], bc2)
+        denom = np.divide(vb, bc2)
         np.sqrt(denom, out=denom)
         denom += eps
         step /= denom
@@ -215,7 +217,7 @@ def _adam_update(p, m, v, at, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
 
 def adam_step(
     params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray | RowGrad],
+    grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
@@ -223,25 +225,21 @@ def adam_step(
     eps: float = 1e-8,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam update, applied in place so that arrays
-    aliased elsewhere (encoder embeddings) stay current.
+    aliased elsewhere (encoder embeddings) stay current. Every gradient is
+    checked for non-finite values before any array is updated.
 
-    Every table gets the whole-table update. A row-sparse gradient adds to
-    the moments of its rows only, which is bit-identical to adding its dense
-    array. train() passes embedding tables cut down to the rows its data
-    uses, so that whole-table pass covers those rows, not every bucket.
+    A row whose gradient has been zero at every step keeps m = v = 0, so
+    its update is exactly 0 and its bytes do not change. train() passes
+    embedding tables cut down to the rows its data uses, so the pass over
+    each table covers those rows, not every bucket.
     """
     for name, g in grads.items():
-        values = g.values if isinstance(g, RowGrad) else g
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name!r} at step {state.step + 1}")
     state.step += 1
     hyper = (lr, beta1, beta2, 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step, eps)
     for name, g in grads.items():
-        if isinstance(g, RowGrad):
-            at, g = g.rows, g.values
-        else:
-            at = slice(None)
-        _adam_update(params[name], state.m[name], state.v[name], at, g, *hyper)
+        _adam_update(params[name], state.m[name], state.v[name], g, *hyper)
     return params, state
 
 
@@ -450,7 +448,6 @@ def gradient_check(
     0/1 = 0. Dropout is off throughout.
     """
     _, grads = model.loss_and_grads(batch, dropout=0.0, rng=None)
-    grads = {name: np.asarray(g) for name, g in grads.items()}  # RowGrad -> dense, once
     rng = np.random.default_rng(seed)
     names = sorted(model.params)
     total = sum(model.params[n].size for n in names)

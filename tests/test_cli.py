@@ -294,6 +294,22 @@ class TestEval:
         argv = ["eval", "--ckpt", str(ckpt), "--corpus", str(pipeline / "corpus")]
         assert_exits(capsys, argv, 2, "is not a model checkpoint")
 
+    @pytest.mark.parametrize("kind", ["string", "complex", "nan", "object"])
+    def test_bad_weight_values_are_data_error(self, pipeline, tmp_path, kind, capsys):
+        with np.load(pipeline / "simple.npz", allow_pickle=False) as data:
+            arrays = {name: data[name] for name in data.files}
+        w = arrays["pos.hidden_w"]
+        with_nan = w.copy()
+        with_nan.flat[0] = np.nan
+        arrays["pos.hidden_w"] = {"string": np.full(w.shape, "x"),
+                                  "complex": w.astype(np.complex128), "nan": with_nan,
+                                  "object": w.astype(object)}[kind]
+        ckpt = tmp_path / "bad.npz"
+        with ckpt.open("wb") as fh:
+            np.savez(fh, **arrays)
+        argv = ["eval", "--ckpt", str(ckpt), "--corpus", str(pipeline / "corpus")]
+        assert_exits(capsys, argv, 2, "pos.hidden_w must hold finite real floating-point values")
+
 
 class TestSignificance:
     @pytest.fixture()

@@ -218,6 +218,12 @@ class TestCorpusIO:
         with pytest.raises(DataError, match=r"train\.jsonl:2.*dup"):
             load_corpus(root)
 
+    def test_case_id_in_two_splits_names_both(self, tiny_splits, tmp_path):
+        tiny_splits.test.append(tiny_splits.train[1])
+        save_corpus(tiny_splits, tmp_path / "corpus")
+        with pytest.raises(DataError, match=r"'t-1' appears in both train and test"):
+            load_corpus(tmp_path / "corpus")
+
     def test_malformed_json_reports_line(self, tmp_path):
         root = tmp_path / "corpus"
         root.mkdir()

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from negprec.encoder import (
     HashedBowEncoder,
     PrecomputedEncoder,
-    RowGrad,
     bow_backward,
     bow_encode,
     load_vector_table,
@@ -94,12 +93,9 @@ class TestBowEncode:
 
     def check_against_oracle(self, ids, dx, n_rows):
         grad = bow_backward(ids, dx, n_rows)
-        oracle = self.loop_oracle(ids, dx, n_rows)
-        touched = np.unique(np.concatenate(ids)).astype(np.int64)
-        np.testing.assert_array_equal(grad.rows, touched)
-        np.testing.assert_allclose(grad.values, oracle[touched], rtol=0, atol=0)
-        assert grad.shape == (n_rows, dx.shape[1])
-        np.testing.assert_allclose(np.asarray(grad), oracle, rtol=0, atol=0)
+        assert grad.shape == (n_rows, dx.shape[1]) and grad.dtype == np.float64
+        assert grad.tobytes() == self.loop_oracle(ids, dx, n_rows).tobytes()
+        return grad
 
     def test_backward_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
@@ -121,32 +117,13 @@ class TestBowEncode:
         self.check_against_oracle(ids, dx, 8)
 
     def test_backward_rows_are_the_batch_tokens(self):
+        # Rows no token of the batch hashes to stay exactly zero.
         rng = np.random.default_rng(3)
         ids = [rng.integers(0, 1000, size=n) for n in (40, 0, 17, 64)]
         dx = rng.normal(size=(4, 5))
-        grad = bow_backward(ids, dx, 1000)
-        np.testing.assert_array_equal(grad.rows, np.unique(np.concatenate(ids)))
-        assert grad.nbytes == grad.rows.nbytes + grad.values.nbytes
-        np.testing.assert_allclose(
-            np.asarray(grad), self.loop_oracle(ids, dx, 1000), rtol=0, atol=0
-        )
-
-    def test_row_grad_is_dense_under_arithmetic(self):
-        grad = RowGrad(np.array([1]), np.array([[2.0, -1.0]]), (3, 2))
-        np.testing.assert_array_equal(grad + 1.0, [[1.0, 1.0], [3.0, 0.0], [1.0, 1.0]])
-        assert isinstance(grad * 2.0, np.ndarray)
-        np.testing.assert_array_equal(np.asarray(grad, dtype=np.float32),
-                                      [[0.0, 0.0], [2.0, -1.0], [0.0, 0.0]])
-
-    def test_row_grad_refuses_copy_false(self):
-        # Like an ndarray that cannot avoid a copy: a fresh dense array
-        # handed out as a view would silently drop writes into it.
-        grad = RowGrad(np.array([1]), np.array([[2.0, -1.0]]), (3, 2))
-        with pytest.raises(ValueError):
-            np.asarray(grad, copy=False)
-        with pytest.raises(ValueError):
-            np.array(grad, copy=False)
-        np.testing.assert_array_equal(np.array(grad, copy=True)[1], [2.0, -1.0])
+        grad = self.check_against_oracle(ids, dx, 1000)
+        untouched = np.setdiff1d(np.arange(1000), np.concatenate(ids))
+        assert not grad[untouched].any()
 
     def test_backward_is_gradient_of_encode(self):
         # Finite differences on a scalar function of the pooled vectors.
@@ -158,7 +135,7 @@ class TestBowEncode:
         def value(e):
             return float((bow_encode(ids, e) * weights).sum())
 
-        grad = np.asarray(bow_backward(ids, weights, 6))
+        grad = bow_backward(ids, weights, 6)
         eps = 1e-6
         for i in (0, 2, 5):
             for j in range(4):
