@@ -21,7 +21,7 @@ from .corpus import (
     save_corpus,
     split_stats,
 )
-from .encoder import HashedBowEncoder, PrecomputedEncoder, tokenize
+from .encoder import PrecomputedEncoder, tokenize
 from .extraction import DEFAULT_PATTERNS, PatternSet, build_outcome_corpus, extract_claims
 from .models import (
     ARCHITECTURES,
@@ -63,7 +63,6 @@ __all__ = [
     "FULL_GRID",
     "GenConfig",
     "GridSpec",
-    "HashedBowEncoder",
     "LabelMatrix",
     "Outcome",
     "PatternSet",

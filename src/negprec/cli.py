@@ -119,6 +119,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write an output file, creating its directory as --out and --preds do."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_text(text, encoding="utf-8")
+
+
 def cmd_extract(args) -> int:
     patterns = load_patterns(args.patterns) if args.patterns else DEFAULT_PATTERNS
     splits, coverage = build_outcome_corpus(args.raw, patterns, args.violations)
@@ -160,7 +167,7 @@ def cmd_stats(args) -> int:
         )
         print(f"{article:<9}{cells}")
     if args.json_out:
-        Path(args.json_out).write_text(json.dumps(stats, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.json_out, json.dumps(stats, indent=2) + "\n")
         print(f"\nfull stats written to {args.json_out}")
     return 0
 
@@ -202,7 +209,7 @@ def cmd_train(args) -> int:
         },
     )
     if args.log_out:
-        Path(args.log_out).write_text(json.dumps(result.log, indent=2) + "\n", encoding="utf-8")
+        _write_text(args.log_out, json.dumps(result.log, indent=2) + "\n")
     print(
         f"{args.arch}: best epoch {result.best_epoch} "
         f"(validation loss {result.best_val_loss:.6f}); checkpoint written to {args.out}"
@@ -244,13 +251,12 @@ def cmd_eval(args) -> int:
     cases = splits.split(args.split)
     if not cases:
         raise DataError(f"split {args.split!r} is empty")
-    with_tokens = meta["encoder_kind"] == "hashed_bow"
     ds = Dataset.build(
         cases,
         model.index,
-        meta["max_tokens"] if with_tokens else 1,
-        meta["vocab_buckets"] if with_tokens else 1,
-        with_tokens=with_tokens,
+        meta["max_tokens"],
+        meta["vocab_buckets"],
+        with_tokens=meta["encoder_kind"] == "hashed_bow",
     )
     gold = build_label_matrix(cases, model.index)
     preds = predict_model(model, ds, model.index.articles)
@@ -279,7 +285,7 @@ def cmd_eval(args) -> int:
     ]
     print(render_report(rows), end="")
     if args.report:
-        Path(args.report).write_text(report_to_csv(rows), encoding="utf-8")
+        _write_text(args.report, report_to_csv(rows))
         print(f"report written to {args.report}")
     if args.preds:
         write_predictions(preds, args.preds)
@@ -345,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # e.g. an output path that is a directory, or a file
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

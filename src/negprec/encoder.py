@@ -1,9 +1,10 @@
 """Facts-text encoders producing fixed-size float64 vectors.
 
-Two kinds: a trainable hashed bag-of-words encoder (lowercase, split on
+Two kinds: a trainable hashed bag-of-words (lowercase, split on
 non-alphanumerics, stable-hash each token into a bucket, mean-pool the
-bucket embeddings) and a frozen table of precomputed per-case vectors for
-plugging in document embeddings produced elsewhere.
+bucket embeddings; the tables themselves live in a model's params) and a
+frozen table of precomputed per-case vectors for plugging in document
+embeddings produced elsewhere.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .corpus import read_jsonl
 from .errors import DataError
 
 DEFAULT_VOCAB_BUCKETS = 1 << 15
-DEFAULT_DIM = 64
 DEFAULT_MAX_TOKENS = 512
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
@@ -68,49 +68,6 @@ def bow_backward(token_ids: list[np.ndarray], grad_out: np.ndarray, n_rows: int)
             at = np.add.outer(ids * dim, cols).reshape(-1)
             np.add.at(flat, at, np.tile(grad_out[i] / len(ids), len(ids)))
     return grad
-
-
-@dataclass
-class HashedBowEncoder:
-    """Trainable mean-pooled hashed bag-of-words encoder.
-
-    The embedding is initialized uniformly in +-1/sqrt(dim) from the given
-    generator; training code owns the array through a parameter dict, so
-    updates must happen in place.
-    """
-
-    embedding: np.ndarray
-    max_tokens: int = DEFAULT_MAX_TOKENS
-
-    kind = "hashed_bow"
-
-    @classmethod
-    def create(
-        cls,
-        rng: np.random.Generator,
-        vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
-        dim: int = DEFAULT_DIM,
-        max_tokens: int = DEFAULT_MAX_TOKENS,
-    ) -> "HashedBowEncoder":
-        # Mean pooling over N tokens shrinks feature magnitude roughly by
-        # 1/sqrt(N); a fixed +-0.5 init keeps pooled features at a scale the
-        # heads can learn from within a short epoch budget.
-        emb = rng.uniform(-0.5, 0.5, size=(vocab_buckets, dim))
-        return cls(embedding=emb, max_tokens=max_tokens)
-
-    @property
-    def dim(self) -> int:
-        return int(self.embedding.shape[1])
-
-    @property
-    def vocab_buckets(self) -> int:
-        return int(self.embedding.shape[0])
-
-    def tokenize(self, text: str) -> np.ndarray:
-        return tokenize(text, self.max_tokens, self.vocab_buckets)
-
-    def encode(self, token_ids: list[np.ndarray]) -> np.ndarray:
-        return bow_encode(token_ids, self.embedding)
 
 
 @dataclass

@@ -17,7 +17,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .corpus import Outcome, SplitSet, build_label_matrix, filter_articles, load_corpus
+from .corpus import SplitSet, build_label_matrix, filter_articles, load_corpus
 from .encoder import load_vector_table
 from .errors import UsageError
 from .evaluation import (
@@ -234,10 +234,7 @@ def _significance_matrix(
         for seed in manifest.seeds:
             a = predictions[(arch_a, seed)]
             b = predictions[(arch_b, seed)]
-            classes = [Outcome.POS, Outcome.NEG]
-            if a.kind == b.kind == "three_way":
-                classes.append(Outcome.NULL)
-            for cls in classes:
+            for cls in [c for c in a.classes() if c in b.classes()]:
                 result = permutation_test(
                     per_case_scores(a, gold, cls),
                     per_case_scores(b, gold, cls),

@@ -30,8 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
+# bow_encode and bow_backward are called as encoder.<name>, looked up per
+# call, so a wrapper installed on the module sees every call.
+from . import encoder
 from .corpus import ArticleIndex, Outcome
-from .encoder import HashedBowEncoder, PrecomputedEncoder
+from .encoder import PrecomputedEncoder
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -144,9 +147,11 @@ class Model:
     encoder (heads may share one) into `width` logits per article.
     Subclasses add the loss rule (loss_and_grads) and the read-outs.
 
-    params maps dotted names to float64 arrays and is the single source of
-    truth; trainable encoder embeddings are aliased into it, so optimizer
-    updates must modify arrays in place.
+    params maps dotted names to float64 arrays and holds every weight, the
+    hashed bag-of-words tables ("<encoder>.emb") included. A model given
+    precomputed `vectors` reads every encoder from them and has no table.
+    max_tokens is the token limit its tables were trained with (0 without
+    tables); checkpoints record it.
     """
 
     arch = ""
@@ -156,18 +161,20 @@ class Model:
         self,
         index: ArticleIndex,
         hidden: int,
-        encoders: dict[str, HashedBowEncoder | PrecomputedEncoder],
         params: dict[str, np.ndarray],
+        max_tokens: int = 0,
+        vectors: PrecomputedEncoder | None = None,
     ) -> None:
         self.index = index
         self.hidden = hidden
-        self.encoders = encoders
         self.params = params
+        self.max_tokens = max_tokens
+        self.vectors = vectors
         self.clamp_warnings = 0
 
     @property
     def encoder_kind(self) -> str:
-        return next(iter(self.encoders.values())).kind
+        return "hashed_bow" if self.vectors is None else self.vectors.kind
 
     def param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
@@ -176,10 +183,9 @@ class Model:
         return sum(int(p.size) for name, p in self.params.items() if ".emb" not in name)
 
     def _encode(self, batch, name: str) -> np.ndarray:
-        enc = self.encoders[name]
-        if enc.kind == "hashed_bow":
-            return enc.encode(batch.tokens)
-        return enc.encode_ids(batch.case_ids)
+        if self.vectors is not None:
+            return self.vectors.encode_ids(batch.case_ids)
+        return encoder.bow_encode(batch.tokens, self.params[f"{name}.emb"])
 
     def _dropout(self, x, rate, rng):
         if rate <= 0.0:
@@ -205,7 +211,7 @@ class Model:
         declaration order, which fixes the order of the dropout draws."""
         cache = {} if cache is None else cache
         xs = cache["x"] = {name: self._dropout(self._encode(batch, name), dropout, rng)
-                           for name in self.encoders}
+                           for name in _encoder_names(type(self))}
         logits = {}
         for head, enc, width in self.heads:
             cache[head], logits[head] = _head_forward(
@@ -229,16 +235,14 @@ class Model:
             grads[f"{head}.hidden_w"] = d_hidden
             grads[f"{head}.out_w"] = d_out
             dxs[enc] = dxs[enc] + dx if enc in dxs else dx
-        if self.encoder_kind == "hashed_bow":
+        if self.vectors is None:
             for enc, dx in dxs.items():
                 mask = cache["x"][enc][1]
-                grads[f"{enc}.emb"] = self._emb_grad(batch, enc, dx if mask is None else dx * mask)
+                emb = self.params[f"{enc}.emb"]
+                grads[f"{enc}.emb"] = encoder.bow_backward(
+                    batch.tokens, dx if mask is None else dx * mask, len(emb)
+                )
         return grads
-
-    def _emb_grad(self, batch, name: str, dx: np.ndarray):
-        from .encoder import bow_backward  # looked up per call, so it can be wrapped
-
-        return bow_backward(batch.tokens, dx, self.encoders[name].vocab_buckets)
 
     def nll(self, batch) -> float:
         loss, _ = self.loss_and_grads(batch, dropout=0.0, rng=None, want_grads=False)
@@ -386,16 +390,25 @@ def _encoder_names(cls: type[Model]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(enc for _, enc, _ in cls.heads))
 
 
-def _head_shapes(
-    cls: type[Model], n_articles: int, hidden: int, dim: int
-) -> dict[str, tuple[int, ...]]:
-    """Each head's hidden and output weight shapes, in declaration order."""
-    shapes: dict[str, tuple[int, ...]] = {}
+def _param_table(
+    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
+) -> dict[str, tuple[tuple[int, ...], float]]:
+    """Every parameter array an architecture has, in initialization order
+    (embedding tables, then heads in declaration order), with its shape and
+    the bound of its uniform initialization."""
+    table: dict[str, tuple[tuple[int, ...], float]] = {}
+    if encoder_kind == "hashed_bow":
+        # Mean pooling over N tokens shrinks feature magnitude roughly by
+        # 1/sqrt(N); a fixed +-0.5 init keeps pooled features at a scale the
+        # heads can learn from within a short epoch budget.
+        for enc in _encoder_names(cls):
+            table[f"{enc}.emb"] = (vocab_buckets, dim), 0.5
+    # Every head weight is uniform in +-1/sqrt(fan-in), its last axis.
     for head, _, width in cls.heads:
-        shapes[f"{head}.hidden_w"] = (n_articles, hidden, dim)
+        table[f"{head}.hidden_w"] = (n_articles, hidden, dim), 1.0 / np.sqrt(dim)
         out = (n_articles, hidden) if width == 1 else (n_articles, width, hidden)
-        shapes[f"{head}.out_w"] = out
-    return shapes
+        table[f"{head}.out_w"] = out, 1.0 / np.sqrt(hidden)
+    return table
 
 
 def build_model(
@@ -409,46 +422,38 @@ def build_model(
     max_tokens: int = 512,
     vectors: PrecomputedEncoder | None = None,
 ) -> Model:
-    """Create a freshly initialized model. Initialization order is fixed
-    (encoders, then heads in declaration order) so a seed pins every weight."""
+    """Create a freshly initialized model. Weights are drawn in _param_table
+    order, so a seed pins every weight. A precomputed model takes its dim
+    from the vector table."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
+    if encoder_kind == "precomputed":
+        if vectors is None:
+            raise DataError("precomputed encoder requires a vector table")
+        dim, max_tokens = vectors.dim, 0
+    elif encoder_kind == "hashed_bow":
+        vectors = None
+    else:
+        raise DataError(f"unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]
-    params: dict[str, np.ndarray] = {}
-    encoders: dict[str, HashedBowEncoder | PrecomputedEncoder] = {}
-    for enc_name in _encoder_names(cls):
-        if encoder_kind == "hashed_bow":
-            enc = HashedBowEncoder.create(rng, vocab_buckets, dim, max_tokens)
-            params[f"{enc_name}.emb"] = enc.embedding
-        elif encoder_kind == "precomputed":
-            if vectors is None:
-                raise DataError("precomputed encoder requires a vector table")
-            if vectors.dim != dim:
-                dim = vectors.dim
-            enc = vectors
-        else:
-            raise DataError(f"unknown encoder kind {encoder_kind!r}")
-        encoders[enc_name] = enc
-    # Every head weight is uniform in +-1/sqrt(fan-in), its last axis.
-    for name, shape in _head_shapes(cls, len(index), hidden, dim).items():
-        bound = 1.0 / np.sqrt(shape[-1])
-        params[name] = rng.uniform(-bound, bound, size=shape)
-    return cls(index=index, hidden=hidden, encoders=encoders, params=params)
+    table = _param_table(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    params = {name: rng.uniform(-bound, bound, size=shape)
+              for name, (shape, bound) in table.items()}
+    return cls(index, hidden, params, max_tokens, vectors)
 
 
 def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = None) -> None:
     """Self-describing container: a JSON metadata entry plus every weight
     array under its parameter name."""
-    first_enc = next(iter(model.encoders.values()))
     meta = {
         "version": CHECKPOINT_VERSION,
         "arch": model.arch,
         "articles": list(model.index.articles),
         "hidden": model.hidden,
         "encoder_kind": model.encoder_kind,
-        "dim": int(first_enc.dim),
-        "max_tokens": int(getattr(first_enc, "max_tokens", 0)),
-        "vocab_buckets": int(getattr(first_enc, "vocab_buckets", 0)),
+        "dim": model.params[f"{model.heads[0][0]}.hidden_w"].shape[-1],
+        "max_tokens": model.max_tokens,
+        "vocab_buckets": next((len(p) for n, p in model.params.items() if n.endswith(".emb")), 0),
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -457,18 +462,6 @@ def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = No
     # savez on a file object, not a path: the path form appends ".npz".
     with path.open("wb") as fh:
         np.savez(fh, _meta=np.asarray(json.dumps(meta, sort_keys=True)), **model.params)
-
-
-def _param_shapes(
-    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
-) -> dict[str, tuple[int, ...]]:
-    """Every parameter array an architecture has, with its shape."""
-    shapes: dict[str, tuple[int, ...]] = {}
-    if encoder_kind == "hashed_bow":
-        for enc_name in _encoder_names(cls):
-            shapes[f"{enc_name}.emb"] = (vocab_buckets, dim)
-    shapes.update(_head_shapes(cls, n_articles, hidden, dim))
-    return shapes
 
 
 def _open_npz(p: Path, fh) -> np.lib.npyio.NpzFile:
@@ -531,8 +524,8 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     if encoder_kind not in ("hashed_bow", "precomputed"):
         raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]
-    expected = _param_shapes(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
-    for name, shape in expected.items():
+    expected = _param_table(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    for name, (shape, _) in expected.items():
         if name not in params:
             raise DataError(f"{p}: missing weights for {name}")
         if params[name].shape != shape:
@@ -542,19 +535,13 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     unexpected = sorted(set(params) - set(expected))
     if unexpected:
         raise DataError(f"{p}: unexpected arrays {', '.join(unexpected)}")
-    encoders: dict[str, HashedBowEncoder | PrecomputedEncoder] = {}
-    for enc_name in _encoder_names(cls):
-        if encoder_kind == "hashed_bow":
-            encoders[enc_name] = HashedBowEncoder(
-                embedding=params[f"{enc_name}.emb"], max_tokens=max_tokens
-            )
-        else:
-            if vectors is None:
-                raise DataError(f"{p}: precomputed checkpoint needs a vector table")
-            if vectors.dim != dim:
-                raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
-                                f"the checkpoint expects {dim}")
-            encoders[enc_name] = vectors
-    model = cls(index=index, hidden=hidden, encoders=encoders, params=params)
+    if encoder_kind == "hashed_bow":
+        vectors = None
+    elif vectors is None:
+        raise DataError(f"{p}: precomputed checkpoint needs a vector table")
+    elif vectors.dim != dim:
+        raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
+                        f"the checkpoint expects {dim}")
+    model = cls(index, hidden, params, max_tokens, vectors)
     model.checkpoint_meta = meta
     return model

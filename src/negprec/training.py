@@ -298,7 +298,7 @@ def train(
     # hash to, with the tokens renumbered to match. No other row gets a
     # gradient, and a row without one yet has m = v = 0, so its Adam step
     # is exactly 0: the result is bit-identical to training the whole table.
-    full: dict[str, np.ndarray] = {}
+    full = {n: p for n, p in model.params.items() if n.endswith(".emb")}
     if with_tokens:
         # A mask and in-place renumbering copy one case's ids at a time;
         # np.unique over all ids concatenated raised peak memory by about
@@ -310,9 +310,8 @@ def train(
         for ds in (train_ds, val_ds):
             for i, ids in enumerate(ds.tokens):
                 ds.tokens[i] = np.searchsorted(vocab, ids)
-        for name, enc in model.encoders.items():
-            full[name] = enc.embedding
-            enc.embedding = model.params[f"{name}.emb"] = enc.embedding[vocab]
+        for name, emb in full.items():
+            model.params[name] = emb[vocab]
 
     state = AdamState.init(model.params)
     result = TrainResult(model=model, config=config, index=index)
@@ -347,13 +346,12 @@ def train(
             arch, epoch, train_loss, val_loss, " *" if picked else "",
         )
     assert best_params is not None
-    # Copy back in place; the model's encoders alias these arrays.
     for name, p in model.params.items():
         p[...] = best_params[name]
     # Write the compact rows back and hand the model its full tables again.
     for name, emb in full.items():
-        emb[vocab] = model.encoders[name].embedding
-        model.encoders[name].embedding = model.params[f"{name}.emb"] = emb
+        emb[vocab] = model.params[name]
+        model.params[name] = emb
     return result
 
 

@@ -512,6 +512,77 @@ class TestExtract:
         assert "no raw" in capsys.readouterr().err
 
 
+class TestPrecomputedRoundTrip:
+    def test_train_then_eval_with_vectors(self, pipeline, tmp_path, capsys):
+        corpus = pipeline / "corpus"
+        splits = load_corpus(corpus)
+        vectors = tmp_path / "vectors.jsonl"
+        rng = np.random.default_rng(0)
+        with vectors.open("w", encoding="utf-8") as fh:
+            for case in splits.train + splits.validation + splits.test:
+                row = {"case_id": case.case_id, "vector": rng.normal(size=5).tolist()}
+                fh.write(json.dumps(row) + "\n")
+        cfg = tmp_path / "pre.cfg"
+        cfg.write_text(TRAIN_CFG + "encoder = precomputed\n", encoding="utf-8")
+        ckpt = tmp_path / "pre.npz"
+        assert run_cli(
+            "train", "--arch", "claim_outcome", "--corpus", str(corpus), "--out", str(ckpt),
+            "--config", str(cfg), "--vectors", str(vectors),
+        ) == 0
+        with np.load(ckpt, allow_pickle=False) as data:
+            meta = json.loads(str(data["_meta"]))
+        # The vector table's width, not the config's dim = 8, and no token limits.
+        assert meta["encoder_kind"] == "precomputed"
+        assert meta["dim"] == 5
+        assert meta["max_tokens"] == meta["vocab_buckets"] == 0
+        report = tmp_path / "report.csv"
+        assert run_cli(
+            "eval", "--ckpt", str(ckpt), "--corpus", str(corpus),
+            "--vectors", str(vectors), "--report", str(report),
+        ) == 0
+        rows = read_report_csv(report.read_text(encoding="utf-8"))
+        assert [(row.model, row.encoder) for row in rows][0] == ("claim_outcome", "precomputed")
+        argv = ["eval", "--ckpt", str(ckpt), "--corpus", str(corpus)]
+        assert_exits(capsys, argv, 2, "precomputed checkpoint needs a vector table")
+
+
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["stats", "eval", "train"])
+    def test_missing_parent_directory_is_created(self, pipeline, tmp_path, command):
+        target = tmp_path / "missing" / "deeper" / "out"
+        corpus = str(pipeline / "corpus")
+        argv = {
+            "stats": ["stats", "--corpus", corpus, "--json", str(target)],
+            "eval": ["eval", "--ckpt", str(pipeline / "joint.npz"), "--corpus", corpus,
+                     "--report", str(target)],
+            "train": ["train", "--arch", "mtl", "--corpus", corpus,
+                      "--config", str(pipeline / "train.cfg"),
+                      "--out", str(tmp_path / "mtl.npz"), "--log", str(target)],
+        }[command]
+        assert main(argv) == 0
+        assert target.is_file()
+
+    @pytest.mark.parametrize("command", ["train", "run"])
+    def test_unwritable_output_is_data_error(self, pipeline, tmp_path, command, capsys):
+        corpus = pipeline / "corpus"
+        if command == "train":
+            target = tmp_path / "a-directory"
+            target.mkdir()
+            argv = ["train", "--arch", "joint", "--corpus", str(corpus),
+                    "--config", str(pipeline / "train.cfg"), "--out", str(target)]
+        else:
+            target = tmp_path / "a-file"
+            target.write_text("", encoding="utf-8")
+            manifest = tmp_path / "manifest.cfg"
+            manifest.write_text(
+                f"corpus = {corpus}\narchitectures = joint\nhiddens = 4\nmax_epochs = 1\n"
+                "learning_rates = 0.01\ndropouts = 0.0\n",
+                encoding="utf-8",
+            )
+            argv = ["run", "--manifest", str(manifest), "--out", str(target)]
+        assert_exits(capsys, argv, 2, str(target))
+
+
 class TestNumericExitCode:
     def test_numeric_errors_exit_three(self, monkeypatch, capsys):
         import negprec.cli as cli

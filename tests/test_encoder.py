@@ -16,7 +16,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from negprec.encoder import (
-    HashedBowEncoder,
     PrecomputedEncoder,
     bow_backward,
     bow_encode,
@@ -143,25 +142,6 @@ class TestBowEncode:
                 bumped[i, j] += eps
                 numeric = (value(bumped) - value(emb)) / eps
                 assert abs(grad[i, j] - numeric) < 1e-6
-
-
-class TestHashedBowEncoder:
-    def test_create_shape_and_bounds(self):
-        enc = HashedBowEncoder.create(np.random.default_rng(0), 128, 16, 64)
-        assert enc.embedding.shape == (128, 16)
-        assert enc.embedding.dtype == np.float64
-        assert float(np.abs(enc.embedding).max()) <= 0.5
-        assert (enc.dim, enc.vocab_buckets, enc.max_tokens) == (16, 128, 64)
-        assert enc.kind == "hashed_bow"
-
-    def test_create_is_seed_deterministic(self):
-        a = HashedBowEncoder.create(np.random.default_rng(7), 32, 8, 10)
-        b = HashedBowEncoder.create(np.random.default_rng(7), 32, 8, 10)
-        np.testing.assert_array_equal(a.embedding, b.embedding)
-
-    def test_tokenize_uses_own_limits(self):
-        enc = HashedBowEncoder.create(np.random.default_rng(0), 32, 4, max_tokens=2)
-        assert len(enc.tokenize("one two three four")) == 2
 
 
 class TestPrecomputedEncoder:

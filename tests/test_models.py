@@ -254,7 +254,7 @@ class TestForwardByHand:
 class TestForwardAgainstLoopOracle:
     def test_forward(self, arch):
         model, batch = random_vector_model(arch, n_cases=6, seed=11)
-        x = model.encoders[next(iter(model.encoders))].encode_ids(batch.case_ids)
+        x = model.vectors.encode_ids(batch.case_ids)
         x = x.tolist()
         p = {k: v.tolist() for k, v in model.params.items()}
         if arch in ("simple", "mtl"):
@@ -293,7 +293,7 @@ class TestForwardAgainstLoopOracle:
 
 class TestLossOracles:
     def logits_for(self, model, batch, arch):
-        x = model.encoders[next(iter(model.encoders))].encode_ids(batch.case_ids)
+        x = model.vectors.encode_ids(batch.case_ids)
         x = x.tolist()
         p = {k: v.tolist() for k, v in model.params.items()}
         if arch in ("simple", "mtl"):
@@ -523,10 +523,15 @@ class TestBuildModel:
             build_model("joint", INDEX2, np.random.default_rng(0),
                         encoder_kind="precomputed")
 
-    def test_embeddings_alias_params(self):
-        model = build_model("mtl", INDEX2, np.random.default_rng(0),
-                            dim=3, hidden=2, vocab_buckets=8)
-        assert model.params["enc.emb"] is model.encoders["enc"].embedding
+    def test_embedding_shape_dtype_and_bounds(self):
+        model = build_model("simple", INDEX2, np.random.default_rng(0),
+                            dim=16, hidden=2, vocab_buckets=128)
+        for name in ("pos_enc.emb", "neg_enc.emb"):
+            emb = model.params[name]
+            assert emb.shape == (128, 16)
+            assert emb.dtype == np.float64
+            assert float(np.abs(emb).max()) <= 0.5
+        assert model.encoder_kind == "hashed_bow"
 
     def test_param_count_arithmetic(self):
         k, h, d, v = 2, 3, 5, 16
@@ -582,13 +587,6 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         assert path.is_file()
         assert not (tmp_path / "bare.npz").is_file()
-
-    def test_loaded_embeddings_alias_params(self, tmp_path):
-        model = build_model("mtl", INDEX2, np.random.default_rng(0), vocab_buckets=8)
-        path = tmp_path / "m.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
-        assert loaded.params["enc.emb"] is loaded.encoders["enc"].embedding
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

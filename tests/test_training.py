@@ -426,7 +426,7 @@ class TestTrain:
         vectors = PrecomputedEncoder({c.case_id: rng.normal(size=8) for c in cases}, dim=8)
         config = fast_config(encoder="precomputed")
         result = assert_trains_like_oracle(arch, config, splits, vectors)
-        assert all(enc is vectors for enc in result.model.encoders.values())
+        assert result.model.vectors is vectors
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_rows_outside_training_keep_initial_bytes(self, arch, tiny_splits):
@@ -469,15 +469,16 @@ class TestTrain:
             assert result.model.params[name].tobytes() == initial[name].tobytes()
 
     def test_restored_weights_keep_encoder_alias(self):
-        # Training runs on compact tables; the model must get back full
-        # tables, still shared between params and the encoders.
+        # Training runs on compact tables; the model's params must get back
+        # the full tables, which the encoders read.
         splits = small_corpus()
         config = fast_config()
         for arch in ARCHITECTURES:
             model = train(arch, config, splits).model
-            for name, enc in model.encoders.items():
-                assert enc.embedding.shape == (config.vocab_buckets, config.dim)
-                assert model.params[f"{name}.emb"] is enc.embedding
+            tables = [p for name, p in model.params.items() if name.endswith(".emb")]
+            assert tables
+            for emb in tables:
+                assert emb.shape == (config.vocab_buckets, config.dim)
 
     def test_unknown_arch(self):
         with pytest.raises(UsageError, match="unknown architecture"):
