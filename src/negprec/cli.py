@@ -30,7 +30,7 @@ from .errors import DataError, NumericError, UsageError
 from .evaluation import (
     NAME_TO_CLASS,
     Predictions,
-    ReportRow,
+    model_report_row,
     per_case_scores,
     permutation_test,
     random_baseline,
@@ -87,7 +87,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="checkpoint file to write")
     p.add_argument("--config", help="key = value training config file")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--vectors", help="precomputed vectors (JSONL) for encoder=precomputed")
+    p.add_argument("--vectors", help="vector table (JSONL) to read in place of hashed bag-of-words")
     p.add_argument("--log", dest="log_out", help="write the per-epoch log as JSON")
     p.set_defaults(func=cmd_train)
 
@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--report", help="write the report as CSV")
     p.add_argument("--preds", help="write per-cell predictions as JSONL")
     p.add_argument("--articles", help="restrict scoring to these articles, e.g. 8,13")
-    p.add_argument("--vectors", help="precomputed vectors for precomputed checkpoints")
+    p.add_argument("--vectors", help="the vector table (JSONL) of a precomputed checkpoint")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("significance",
@@ -190,11 +190,7 @@ def cmd_train(args) -> int:
     config = load_kv(TrainConfig, args.config) if args.config else TrainConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    vectors = None
-    if config.encoder == "precomputed":
-        if not args.vectors:
-            raise UsageError("encoder=precomputed needs --vectors")
-        vectors = load_vector_table(args.vectors)
+    vectors = load_vector_table(args.vectors) if args.vectors else None
     splits = load_corpus(args.corpus)
     result = train(args.arch, config, splits, vectors=vectors)
     save_checkpoint(
@@ -256,7 +252,7 @@ def cmd_eval(args) -> int:
         model.index,
         meta["max_tokens"],
         meta["vocab_buckets"],
-        with_tokens=meta["encoder_kind"] == "hashed_bow",
+        with_tokens=model.vectors is None,
     )
     gold = build_label_matrix(cases, model.index)
     preds = predict_model(model, ds, model.index.articles)
@@ -275,12 +271,7 @@ def cmd_eval(args) -> int:
     scores = score_predictions(preds_scored, gold_scored)
     random_stats = random_baseline(gold_scored, 100, seed=0)
     rows = [
-        ReportRow(
-            model=meta["arch"],
-            encoder=meta["encoder_kind"],
-            corpus=corpus_name,
-            scores={k: None if v is None else 100.0 * v for k, v in scores.items()},
-        ),
+        model_report_row(meta["arch"], model.encoder_kind, corpus_name, scores),
         random_report_row(random_stats, corpus_name),
     ]
     print(render_report(rows), end="")

@@ -20,17 +20,10 @@ import numpy as np
 from .corpus import read_jsonl
 from .errors import DataError
 
-DEFAULT_VOCAB_BUCKETS = 1 << 15
-DEFAULT_MAX_TOKENS = 512
-
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
 
-def tokenize(
-    text: str,
-    max_tokens: int = DEFAULT_MAX_TOKENS,
-    vocab_buckets: int = DEFAULT_VOCAB_BUCKETS,
-) -> np.ndarray:
+def tokenize(text: str, max_tokens: int, vocab_buckets: int) -> np.ndarray:
     """Hash the first max_tokens lowercase alphanumeric tokens into
     [0, vocab_buckets). crc32 keeps the mapping stable across processes."""
     if max_tokens <= 0 or vocab_buckets <= 0:

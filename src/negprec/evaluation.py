@@ -356,6 +356,15 @@ class ReportRow:
         return "-" if value is None else f"{value:.2f}"
 
 
+def model_report_row(
+    model: str, encoder: str, corpus: str, scores: dict[str, float | None]
+) -> ReportRow:
+    """A trained model's report row from score_predictions' fractions,
+    rescaled to percent; an undefined score stays None."""
+    return ReportRow(model=model, encoder=encoder, corpus=corpus,
+                     scores={k: None if v is None else 100.0 * v for k, v in scores.items()})
+
+
 def random_report_row(stats: dict[str, dict[str, float]], corpus: str) -> ReportRow:
     """The random baseline's report row (percent scale) from random_baseline's
     per-class statistics."""

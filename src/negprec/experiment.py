@@ -24,6 +24,7 @@ from .evaluation import (
     CLASS_NAMES,
     Predictions,
     ReportRow,
+    model_report_row,
     per_case_scores,
     permutation_test,
     random_baseline,
@@ -57,7 +58,6 @@ class ExperimentManifest:
     architectures: tuple[str, ...] = ARCHITECTURES
     seeds: tuple[int, ...] = (0,)
     grid: str = "desk"
-    encoder: str = TrainConfig.encoder
     vectors: str = ""
     batch_size: int = TrainConfig.batch_size
     max_epochs: int = TrainConfig.max_epochs
@@ -83,8 +83,6 @@ class ExperimentManifest:
         for name in ("resamples", "random_instantiations"):
             if getattr(self, name) < 1:
                 raise UsageError(f"{name} must be >= 1")
-        if self.encoder == "precomputed" and not self.vectors:
-            raise UsageError("precomputed encoder needs vectors = <path> in the manifest")
         # TrainConfig checks the seeds, the shared fields and every grid point.
         for seed in self.seeds:
             base = self.base_config(seed)
@@ -133,7 +131,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
     out.mkdir(parents=True, exist_ok=True)
     splits: SplitSet = load_corpus(manifest.corpus)
     index = filter_articles(splits)
-    vectors = load_vector_table(manifest.vectors) if manifest.encoder == "precomputed" else None
+    vectors = load_vector_table(manifest.vectors) if manifest.vectors else None
 
     gold = build_label_matrix(splits.test, index)
     # The grid varies neither max_tokens nor vocab_buckets, so every model
@@ -143,7 +141,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
         index,
         manifest.max_tokens,
         manifest.vocab_buckets,
-        with_tokens=manifest.encoder == "hashed_bow",
+        with_tokens=vectors is None,
     )
     grid = manifest.grid_spec()
     rows: list[ReportRow] = []
@@ -172,12 +170,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
             write_predictions(preds, out / "predictions" / f"{tag}.jsonl")
             scores = score_predictions(preds, gold)
             rows.append(
-                ReportRow(
-                    model=tag,
-                    encoder=manifest.encoder,
-                    corpus=manifest.corpus_name,
-                    scores={k: None if v is None else 100.0 * v for k, v in scores.items()},
-                )
+                model_report_row(tag, best.model.encoder_kind, manifest.corpus_name, scores)
             )
             run_records.append(
                 {

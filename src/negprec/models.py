@@ -42,6 +42,10 @@ log = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 1
 ARCHITECTURES = ("simple", "mtl", "joint", "claim_outcome")
 
+# The one place a new model's shape defaults are written: build_model's
+# keywords and TrainConfig's fields both read them.
+SHAPE_DEFAULTS = {"dim": 64, "hidden": 50, "vocab_buckets": 1 << 15, "max_tokens": 512}
+
 # -log of the floor used when a gold label lands on an exactly-zero
 # probability; such events are counted on the model (clamp_warnings).
 _NEGLOG_FLOOR = -np.log(1e-12)
@@ -148,8 +152,10 @@ class Model:
     Subclasses add the loss rule (loss_and_grads) and the read-outs.
 
     params maps dotted names to float64 arrays and holds every weight, the
-    hashed bag-of-words tables ("<encoder>.emb") included. A model given
-    precomputed `vectors` reads every encoder from them and has no table.
+    hashed bag-of-words tables ("<encoder>.emb") included; every shape
+    (articles, hidden, dim, buckets) is read off them. The vector table
+    decides the encoder: a model given precomputed `vectors` reads every
+    encoder from them and has no table, one without reads its tables.
     max_tokens is the token limit its tables were trained with (0 without
     tables); checkpoints record it.
     """
@@ -160,13 +166,11 @@ class Model:
     def __init__(
         self,
         index: ArticleIndex,
-        hidden: int,
         params: dict[str, np.ndarray],
         max_tokens: int = 0,
         vectors: PrecomputedEncoder | None = None,
     ) -> None:
         self.index = index
-        self.hidden = hidden
         self.params = params
         self.max_tokens = max_tokens
         self.vectors = vectors
@@ -391,13 +395,13 @@ def _encoder_names(cls: type[Model]) -> tuple[str, ...]:
 
 
 def _param_table(
-    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, encoder_kind: str
+    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, tables: bool
 ) -> dict[str, tuple[tuple[int, ...], float]]:
     """Every parameter array an architecture has, in initialization order
-    (embedding tables, then heads in declaration order), with its shape and
-    the bound of its uniform initialization."""
+    (embedding tables if `tables`, then heads in declaration order), with
+    its shape and the bound of its uniform initialization."""
     table: dict[str, tuple[tuple[int, ...], float]] = {}
-    if encoder_kind == "hashed_bow":
+    if tables:
         # Mean pooling over N tokens shrinks feature magnitude roughly by
         # 1/sqrt(N); a fixed +-0.5 init keeps pooled features at a scale the
         # heads can learn from within a short epoch budget.
@@ -415,43 +419,39 @@ def build_model(
     arch: str,
     index: ArticleIndex,
     rng: np.random.Generator,
-    dim: int = 64,
-    hidden: int = 50,
-    encoder_kind: str = "hashed_bow",
-    vocab_buckets: int = 1 << 15,
-    max_tokens: int = 512,
+    dim: int = SHAPE_DEFAULTS["dim"],
+    hidden: int = SHAPE_DEFAULTS["hidden"],
+    vocab_buckets: int = SHAPE_DEFAULTS["vocab_buckets"],
+    max_tokens: int = SHAPE_DEFAULTS["max_tokens"],
     vectors: PrecomputedEncoder | None = None,
 ) -> Model:
     """Create a freshly initialized model. Weights are drawn in _param_table
-    order, so a seed pins every weight. A precomputed model takes its dim
-    from the vector table."""
+    order, so a seed pins every weight. The vector table decides the
+    encoder: given `vectors`, the model reads them, takes its dim from them
+    and has no embedding tables (vocab_buckets and max_tokens are unused);
+    without, it trains hashed bag-of-words tables."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-    if encoder_kind == "precomputed":
-        if vectors is None:
-            raise DataError("precomputed encoder requires a vector table")
+    if vectors is not None:
         dim, max_tokens = vectors.dim, 0
-    elif encoder_kind == "hashed_bow":
-        vectors = None
-    else:
-        raise DataError(f"unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]
-    table = _param_table(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    table = _param_table(cls, len(index), hidden, dim, vocab_buckets, vectors is None)
     params = {name: rng.uniform(-bound, bound, size=shape)
               for name, (shape, bound) in table.items()}
-    return cls(index, hidden, params, max_tokens, vectors)
+    return cls(index, params, max_tokens, vectors)
 
 
 def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = None) -> None:
     """Self-describing container: a JSON metadata entry plus every weight
     array under its parameter name."""
+    _, hidden, dim = model.params[f"{model.heads[0][0]}.hidden_w"].shape
     meta = {
         "version": CHECKPOINT_VERSION,
         "arch": model.arch,
         "articles": list(model.index.articles),
-        "hidden": model.hidden,
+        "hidden": hidden,
         "encoder_kind": model.encoder_kind,
-        "dim": model.params[f"{model.heads[0][0]}.hidden_w"].shape[-1],
+        "dim": dim,
         "max_tokens": model.max_tokens,
         "vocab_buckets": next((len(p) for n, p in model.params.items() if n.endswith(".emb")), 0),
     }
@@ -493,7 +493,8 @@ def _read_weights(p: Path, data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
 def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None) -> Model:
     """Read a checkpoint written by save_checkpoint. Every parameter the
     metadata implies must be present with its shape, and nothing else; every
-    array must hold finite real floating-point values."""
+    array must hold finite real floating-point values. A precomputed
+    checkpoint needs `vectors` of its dim, a hashed_bow one refuses them."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
@@ -524,7 +525,8 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     if encoder_kind not in ("hashed_bow", "precomputed"):
         raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]
-    expected = _param_table(cls, len(index), hidden, dim, vocab_buckets, encoder_kind)
+    tables = encoder_kind == "hashed_bow"
+    expected = _param_table(cls, len(index), hidden, dim, vocab_buckets, tables)
     for name, (shape, _) in expected.items():
         if name not in params:
             raise DataError(f"{p}: missing weights for {name}")
@@ -535,13 +537,14 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     unexpected = sorted(set(params) - set(expected))
     if unexpected:
         raise DataError(f"{p}: unexpected arrays {', '.join(unexpected)}")
-    if encoder_kind == "hashed_bow":
-        vectors = None
+    if tables:
+        if vectors is not None:
+            raise DataError(f"{p}: a hashed_bow checkpoint takes no vector table")
     elif vectors is None:
         raise DataError(f"{p}: precomputed checkpoint needs a vector table")
     elif vectors.dim != dim:
         raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
                         f"the checkpoint expects {dim}")
-    model = cls(index, hidden, params, max_tokens, vectors)
+    model = cls(index, params, max_tokens, vectors)
     model.checkpoint_meta = meta
     return model

@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import ArticleIndex, Case, SplitSet, build_label_matrix, filter_articles
 from .encoder import PrecomputedEncoder, tokenize
 from .errors import DataError, NumericError, UsageError
-from .models import ARCHITECTURES, Model, build_model
+from .models import ARCHITECTURES, SHAPE_DEFAULTS, Model, build_model
 
 log = logging.getLogger(__name__)
 
@@ -28,14 +28,13 @@ log = logging.getLogger(__name__)
 class TrainConfig:
     learning_rate: float = 3e-4
     dropout: float = 0.2
-    hidden: int = 50
+    hidden: int = SHAPE_DEFAULTS["hidden"]
     batch_size: int = 16
     max_epochs: int = 10
     seed: int = 0
-    dim: int = 64
-    vocab_buckets: int = 1 << 15
-    max_tokens: int = 512
-    encoder: str = "hashed_bow"
+    dim: int = SHAPE_DEFAULTS["dim"]
+    vocab_buckets: int = SHAPE_DEFAULTS["vocab_buckets"]
+    max_tokens: int = SHAPE_DEFAULTS["max_tokens"]
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.learning_rate < math.inf:
@@ -47,8 +46,6 @@ class TrainConfig:
                 raise UsageError(f"{name} must be >= 1")
         if self.seed < 0:
             raise UsageError("seed must be >= 0")
-        if self.encoder not in ("hashed_bow", "precomputed"):
-            raise UsageError(f"unknown encoder {self.encoder!r}")
 
 
 def parse_kv_lines(text: str, where: str = "config") -> dict[str, str]:
@@ -266,7 +263,9 @@ def train(
     vectors: PrecomputedEncoder | None = None,
 ) -> TrainResult:
     """Train one architecture and keep the epoch with the lowest validation
-    loss (earliest epoch on ties). Validation runs with dropout disabled."""
+    loss (earliest epoch on ties). Validation runs with dropout disabled.
+    Given `vectors`, the model reads them in place of hashed bag-of-words
+    tables."""
     if arch not in ARCHITECTURES:
         raise UsageError(f"unknown architecture {arch!r}")
     if not splits.train:
@@ -280,12 +279,11 @@ def train(
         rng,
         dim=config.dim,
         hidden=config.hidden,
-        encoder_kind=config.encoder,
         vocab_buckets=config.vocab_buckets,
         max_tokens=config.max_tokens,
         vectors=vectors,
     )
-    with_tokens = config.encoder == "hashed_bow"
+    with_tokens = vectors is None
     train_ds = Dataset.build(
         splits.train, index, config.max_tokens, config.vocab_buckets, with_tokens
     )

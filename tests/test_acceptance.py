@@ -79,7 +79,7 @@ def vector_model(arch: str, n_cases: int, seed: int, index: ArticleIndex, dim: i
         table={cid: rng.normal(size=dim) for cid in case_ids}, dim=dim
     )
     model = build_model(
-        arch, index, rng, dim=dim, hidden=3, encoder_kind="precomputed",
+        arch, index, rng, dim=dim, hidden=3,
         vectors=vectors,
     )
     for p in model.params.values():

@@ -188,16 +188,13 @@ class TestTrain:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_precomputed_needs_vectors_flag(self, pipeline, tmp_path, capsys):
+        # --vectors alone selects the encoder; an encoder key is unknown.
         cfg = tmp_path / "pre.cfg"
         cfg.write_text(TRAIN_CFG + "encoder = precomputed\n", encoding="utf-8")
-        code = main([
-            "train", "--arch", "simple",
-            "--corpus", str(pipeline / "corpus"),
-            "--out", str(tmp_path / "x.npz"),
-            "--config", str(cfg),
-        ])
-        assert code == 1
-        assert "--vectors" in capsys.readouterr().err
+        argv = ["train", "--arch", "simple", "--corpus", str(pipeline / "corpus"),
+                "--out", str(tmp_path / "x.npz"), "--config", str(cfg)]
+        assert_exits(capsys, argv, 1, "pre.cfg: unknown key 'encoder'")
+        assert not (tmp_path / "x.npz").exists()
 
 
 class TestEval:
@@ -512,22 +509,36 @@ class TestExtract:
         assert "no raw" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def vectors(pipeline):
+    """A 5-wide precomputed vector table covering every case of the corpus."""
+    splits = load_corpus(pipeline / "corpus")
+    path = pipeline / "vectors.jsonl"
+    rng = np.random.default_rng(0)
+    with path.open("w", encoding="utf-8") as fh:
+        for case in splits.train + splits.validation + splits.test:
+            row = {"case_id": case.case_id, "vector": rng.normal(size=5).tolist()}
+            fh.write(json.dumps(row) + "\n")
+    return path
+
+
 class TestPrecomputedRoundTrip:
-    def test_train_then_eval_with_vectors(self, pipeline, tmp_path, capsys):
+    def test_eval_vectors_on_hashed_checkpoint_is_data_error(self, pipeline, vectors,
+                                                             tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        argv = ["eval", "--ckpt", str(pipeline / "joint.npz"),
+                "--corpus", str(pipeline / "corpus"),
+                "--vectors", str(vectors), "--report", str(report)]
+        assert_exits(capsys, argv, 2, "a hashed_bow checkpoint takes no vector table")
+        assert not report.exists()
+
+    def test_train_then_eval_with_vectors(self, pipeline, vectors, tmp_path, capsys):
+        # --vectors alone, with no encoder key, selects the precomputed encoder.
         corpus = pipeline / "corpus"
-        splits = load_corpus(corpus)
-        vectors = tmp_path / "vectors.jsonl"
-        rng = np.random.default_rng(0)
-        with vectors.open("w", encoding="utf-8") as fh:
-            for case in splits.train + splits.validation + splits.test:
-                row = {"case_id": case.case_id, "vector": rng.normal(size=5).tolist()}
-                fh.write(json.dumps(row) + "\n")
-        cfg = tmp_path / "pre.cfg"
-        cfg.write_text(TRAIN_CFG + "encoder = precomputed\n", encoding="utf-8")
         ckpt = tmp_path / "pre.npz"
         assert run_cli(
             "train", "--arch", "claim_outcome", "--corpus", str(corpus), "--out", str(ckpt),
-            "--config", str(cfg), "--vectors", str(vectors),
+            "--config", str(pipeline / "train.cfg"), "--vectors", str(vectors),
         ) == 0
         with np.load(ckpt, allow_pickle=False) as data:
             meta = json.loads(str(data["_meta"]))

@@ -10,7 +10,8 @@ import json
 import numpy as np
 import pytest
 
-from negprec.corpus import filter_articles, save_corpus
+from negprec.corpus import filter_articles, load_corpus, save_corpus
+from negprec.encoder import load_vector_table
 from negprec.errors import UsageError
 from negprec.evaluation import read_predictions, read_report_csv
 from negprec.experiment import (
@@ -96,7 +97,7 @@ class TestParseManifest:
         assert m.architectures == ARCHITECTURES
         assert m.seeds == (0,)
         assert m.grid == "desk"
-        assert m.encoder == "hashed_bow"
+        assert m.vectors == ""
         assert m.max_epochs == 10
         assert m.batch_size == 16
 
@@ -140,7 +141,7 @@ class TestParseManifest:
             ("dropouts = 0.2, 1.5", "dropout must be in"),
             ("learning_rates = 0.01, -1", "learning_rate must be"),
             ("batch_size = 0", "batch_size must be >= 1"),
-            ("encoder = bert", "unknown encoder 'bert'"),
+            ("encoder = precomputed", "unknown manifest key 'encoder'"),
             ("grid = huge", "unknown grid preset 'huge'"),
             ("resamples = 0", "resamples must be >= 1"),
             ("random_instantiations = 0", "random_instantiations must be >= 1"),
@@ -148,7 +149,6 @@ class TestParseManifest:
             ("seeds = 0, 0", "seeds must not repeat"),
             ("seeds = 0, -1", "seed must be >= 0"),
             ("architectures =", "architectures must not be empty"),
-            ("encoder = precomputed", "precomputed encoder needs vectors"),
         ],
     )
     def test_rejects_fault(self, tmp_path, line, message):
@@ -193,7 +193,6 @@ class TestGridResolution:
         assert config.dim == 16
         assert config.vocab_buckets == 128
         assert config.max_tokens == 32
-        assert config.encoder == "hashed_bow"
 
 
 class TestPredictModel:
@@ -288,6 +287,30 @@ class TestRunExperiment:
         assert simple.articles == (2, 3)
         assert len(simple.case_ids) == 8
 
+    def test_vectors_alone_select_precomputed(self, corpus_dir, tmp_path):
+        splits = load_corpus(corpus_dir)
+        rng = np.random.default_rng(0)
+        vectors = tmp_path / "v.jsonl"
+        vectors.write_text("".join(
+            json.dumps({"case_id": c.case_id, "vector": rng.normal(size=3).tolist()}) + "\n"
+            for c in splits.train + splits.validation + splits.test
+        ), encoding="utf-8")
+        path = tmp_path / "m.cfg"
+        path.write_text(
+            f"corpus = {corpus_dir}\nvectors = {vectors}\narchitectures = mtl, joint\n"
+            "learning_rates = 0.01\ndropouts = 0.0\nhiddens = 4\nmax_epochs = 1\n"
+            "resamples = 20\nrandom_instantiations = 5\n",
+            encoding="utf-8",
+        )
+        run_experiment(parse_manifest(path), tmp_path / "run")
+        rows = read_report_csv((tmp_path / "run" / "report.csv").read_text(encoding="utf-8"))
+        assert [(row.model, row.encoder) for row in rows] == [
+            ("mtl-seed0", "precomputed"), ("joint-seed0", "precomputed"), ("random", "-"),
+        ]
+        model = load_checkpoint(tmp_path / "run" / "checkpoints" / "joint-seed0.npz",
+                                vectors=load_vector_table(vectors))
+        assert model.checkpoint_meta["dim"] == 3
+
     def test_rerun_is_byte_identical(self, bundle, corpus_dir, tmp_path):
         manifest, text, run_dir, _ = bundle
         run_experiment(manifest, tmp_path / "again", manifest_text=text)
@@ -295,8 +318,3 @@ class TestRunExperiment:
             assert (tmp_path / "again" / name).read_bytes() == (
                 run_dir / name
             ).read_bytes()
-
-    def test_precomputed_encoder_requires_vectors(self, corpus_dir, tmp_path):
-        with pytest.raises(UsageError, match="needs vectors"):
-            manifest = ExperimentManifest(corpus=str(corpus_dir), encoder="precomputed")
-            run_experiment(manifest, tmp_path / "run")

@@ -126,8 +126,7 @@ def random_vector_model(arch, n_cases, seed, index=INDEX2, dim=4, hidden=3):
     table = {cid: rng.normal(size=dim) for cid in case_ids}
     vectors = PrecomputedEncoder(table=table, dim=dim)
     model = build_model(
-        arch, index, rng, dim=dim, hidden=hidden, encoder_kind="precomputed",
-        vectors=vectors,
+        arch, index, rng, dim=dim, hidden=hidden, vectors=vectors,
     )
     # Spread the head weights so logits cover confident and uncertain cells.
     for name, p in model.params.items():
@@ -367,7 +366,7 @@ class TestLossOracles:
         )
         model = build_model(
             "claim_outcome", INDEX2, np.random.default_rng(7), dim=4, hidden=3,
-            encoder_kind="precomputed", vectors=vectors,
+            vectors=vectors,
         )
         batch = make_batch(np.full((2, 2), Outcome.NULL), case_ids=case_ids)
         # Overflow the claim logits to +inf: certainty of a claim that is
@@ -518,11 +517,6 @@ class TestBuildModel:
         with pytest.raises(DataError, match="unknown architecture"):
             build_model("mlp", INDEX2, np.random.default_rng(0))
 
-    def test_precomputed_requires_vectors(self):
-        with pytest.raises(DataError, match="vector table"):
-            build_model("joint", INDEX2, np.random.default_rng(0),
-                        encoder_kind="precomputed")
-
     def test_embedding_shape_dtype_and_bounds(self):
         model = build_model("simple", INDEX2, np.random.default_rng(0),
                             dim=16, hidden=2, vocab_buckets=128)
@@ -609,7 +603,7 @@ class TestCheckpoints:
     def test_precomputed_checkpoint_needs_vectors(self, tmp_path):
         vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
         model = build_model("joint", INDEX2, np.random.default_rng(0), dim=4,
-                            encoder_kind="precomputed", vectors=vectors)
+                            vectors=vectors)
         path = tmp_path / "pc.ckpt"
         save_checkpoint(model, path)
         with pytest.raises(DataError, match="vector table"):
@@ -663,7 +657,7 @@ class TestCheckpoints:
     def test_precomputed_vector_dimension_checked(self, tmp_path):
         vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
         model = build_model("joint", INDEX2, np.random.default_rng(0), dim=4,
-                            encoder_kind="precomputed", vectors=vectors)
+                            vectors=vectors)
         path = tmp_path / "pc.ckpt"
         save_checkpoint(model, path)
         wider = PrecomputedEncoder(table={"a": np.zeros(5)}, dim=5)

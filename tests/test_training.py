@@ -68,7 +68,7 @@ def initial_model(arch, config, splits, vectors=None):
     rng = np.random.default_rng(config.seed)
     model = build_model(
         arch, filter_articles(splits), rng, dim=config.dim, hidden=config.hidden,
-        encoder_kind=config.encoder, vocab_buckets=config.vocab_buckets,
+        vocab_buckets=config.vocab_buckets,
         max_tokens=config.max_tokens, vectors=vectors,
     )
     return model, rng
@@ -261,7 +261,7 @@ class TestConfigParsing:
 
     def test_mapping_types(self):
         config = from_kv(
-            TrainConfig, {"learning_rate": "0.005", "hidden": "32", "encoder": "hashed_bow"}
+            TrainConfig, {"learning_rate": "0.005", "hidden": "32"}
         )
         assert config.learning_rate == 0.005
         assert config.hidden == 32
@@ -305,7 +305,6 @@ class TestConfigParsing:
             ("hidden", 0),
             ("batch_size", 0),
             ("max_epochs", 0),
-            ("encoder", "bert"),
             ("seed", -1),
         ],
     )
@@ -424,7 +423,7 @@ class TestTrain:
         rng = np.random.default_rng(2)
         cases = splits.train + splits.validation + splits.test
         vectors = PrecomputedEncoder({c.case_id: rng.normal(size=8) for c in cases}, dim=8)
-        config = fast_config(encoder="precomputed")
+        config = fast_config()
         result = assert_trains_like_oracle(arch, config, splits, vectors)
         assert result.model.vectors is vectors
 
