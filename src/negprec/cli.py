@@ -221,21 +221,10 @@ def _subset_articles(
         if article not in index.articles:
             raise UsageError(f"article {article} is not in the checkpoint's index")
         cols.append(index.column(article))
-    articles = tuple(wanted)
-    gold_sub = LabelMatrix(
-        case_ids=list(gold.case_ids),
-        labels=gold.labels[:, cols],
-        claims=gold.claims[:, cols],
-    )
-    if preds.kind == "three_way":
-        preds_sub = Predictions(
-            list(preds.case_ids), articles, "three_way", labels=preds.labels[:, cols]
-        )
-    else:
-        preds_sub = Predictions(
-            list(preds.case_ids), articles, "baseline",
-            pos=preds.pos[:, cols], neg=preds.neg[:, cols],
-        )
+    arrays = {name: getattr(preds, name) for name in ("labels", "pos", "neg")}
+    preds_sub = replace(preds, articles=tuple(wanted),
+                        **{name: a[:, cols] for name, a in arrays.items() if a is not None})
+    gold_sub = replace(gold, labels=gold.labels[:, cols], claims=gold.claims[:, cols])
     return preds_sub, gold_sub
 
 

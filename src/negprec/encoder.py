@@ -95,8 +95,11 @@ def load_vector_table(path: str | Path) -> PrecomputedEncoder:
         if not isinstance(case_id, str) or not isinstance(vector, list):
             raise DataError(f"{where}: need case_id string and vector list")
         # NumPy alone would take "1.5" and true, and fail on a huge integer.
-        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector):
-            raise DataError(f"{where}: vector must be a finite 1-d list")
+        # An empty vector would give a zero-width model.
+        if not vector or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in vector
+        ):
+            raise DataError(f"{where}: vector must be a finite non-empty 1-d list")
         vec = np.asarray(vector, dtype=np.float64)
         if dim is None:
             dim = int(vec.shape[0])

@@ -67,30 +67,28 @@ class Predictions:
     """Model predictions for a list of cases over a fixed article list.
 
     Three-way models fill labels; the baselines fill the independent pos
-    and neg flags instead (a cell may carry both, or neither)."""
+    and neg flags instead (a cell may carry both, or neither). Which arrays
+    are given decides the kind; giving both forms is an error."""
 
     case_ids: list[str]
     articles: tuple[int, ...]
-    kind: str  # "three_way" | "baseline"
     labels: np.ndarray | None = None
     pos: np.ndarray | None = None
     neg: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         shape = (len(self.case_ids), len(self.articles))
+        if self.labels is not None and (self.pos is not None or self.neg is not None):
+            raise DataError("predictions hold either labels or pos and neg, not both")
         if self.kind == "three_way":
-            if self.labels is None or self.labels.shape != shape:
+            if self.labels.shape != shape:
                 raise DataError("three-way predictions need a full labels array")
-        elif self.kind == "baseline":
-            if (
-                self.pos is None
-                or self.neg is None
-                or self.pos.shape != shape
-                or self.neg.shape != shape
-            ):
-                raise DataError("baseline predictions need full pos and neg arrays")
-        else:
-            raise DataError(f"unknown prediction kind {self.kind!r}")
+        elif self.pos is None or self.neg is None or not self.pos.shape == self.neg.shape == shape:
+            raise DataError("baseline predictions need full pos and neg arrays")
+
+    @property
+    def kind(self) -> str:
+        return "baseline" if self.labels is None else "three_way"
 
     def class_mask(self, cls: Outcome) -> np.ndarray:
         if self.kind == "three_way":
@@ -328,13 +326,13 @@ def read_predictions(path: str | Path) -> Predictions:
         for i, case_id in enumerate(case_ids):
             for j, article in enumerate(articles):
                 labels[i, j] = NAME_TO_CLASS[cells[case_id][article]]
-        return Predictions(case_ids, articles, "three_way", labels=labels)
+        return Predictions(case_ids, articles, labels=labels)
     pos = np.zeros(shape, dtype=bool)
     neg = np.zeros(shape, dtype=bool)
     for i, case_id in enumerate(case_ids):
         for j, article in enumerate(articles):
             pos[i, j], neg[i, j] = cells[case_id][article]
-    return Predictions(case_ids, articles, "baseline", pos=pos, neg=neg)
+    return Predictions(case_ids, articles, pos=pos, neg=neg)
 
 
 # --------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from .evaluation import (
     score_predictions,
     write_predictions,
 )
-from .models import ARCHITECTURES, Model, save_checkpoint
+from .models import ARCHITECTURES, Model, decide_baseline, save_checkpoint
 from .training import (
     Dataset,
     GRID_PRESETS,
@@ -109,21 +109,11 @@ def parse_manifest(path: str | Path) -> ExperimentManifest:
 
 
 def predict_model(model: Model, dataset: Dataset, articles: tuple[int, ...]) -> Predictions:
+    ids = list(dataset.case_ids)
     if hasattr(model, "predict_labels"):
-        return Predictions(
-            case_ids=list(dataset.case_ids),
-            articles=articles,
-            kind="three_way",
-            labels=model.predict_labels(dataset),
-        )
-    pos, neg = model.predict_pairs(dataset)
-    return Predictions(
-        case_ids=list(dataset.case_ids),
-        articles=articles,
-        kind="baseline",
-        pos=pos,
-        neg=neg,
-    )
+        return Predictions(ids, articles, labels=model.predict_labels(dataset))
+    pos, neg = decide_baseline(*model.forward(dataset))
+    return Predictions(ids, articles, pos=pos, neg=neg)
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_text: str = "") -> dict:

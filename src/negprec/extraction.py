@@ -129,21 +129,18 @@ def extract_claims(text: str, patterns: PatternSet = DEFAULT_PATTERNS) -> frozen
     return frozenset(found)
 
 
-def _load_violations(source: str | Path | dict | None) -> dict[str, frozenset[int]] | None:
+def _load_violations(source: str | Path | None) -> dict[str, frozenset[int]] | None:
     if source is None:
         return None
-    if isinstance(source, dict):
-        mapping = source
-    else:
-        p = Path(source)
-        if not p.is_file():
-            raise DataError(f"violations file not found: {p}")
-        try:
-            mapping = json.loads(p.read_text(encoding="utf-8"))
-        except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
-            raise DataError(f"{p.name}: malformed JSON ({exc})") from exc
-        if not isinstance(mapping, dict):
-            raise DataError(f"violations file {p} must hold a JSON object")
+    p = Path(source)
+    if not p.is_file():
+        raise DataError(f"violations file not found: {p}")
+    try:
+        mapping = json.loads(p.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON, UTF-8 or nesting
+        raise DataError(f"{p.name}: malformed JSON ({exc})") from exc
+    if not isinstance(mapping, dict):
+        raise DataError(f"violations file {p} must hold a JSON object")
     return {
         case_id: parse_article_list(arts, f"violated articles of {case_id!r}", "violations")
         for case_id, arts in mapping.items()
@@ -153,19 +150,20 @@ def _load_violations(source: str | Path | dict | None) -> dict[str, frozenset[in
 def build_outcome_corpus(
     raw_dir: str | Path,
     patterns: PatternSet = DEFAULT_PATTERNS,
-    violations_source: str | Path | dict | None = None,
+    violations_source: str | Path | None = None,
 ) -> tuple[SplitSet, dict]:
     """Turn raw judgment documents into a claim/violation corpus.
 
     Raw documents are JSON lines in *.jsonl files under raw_dir with fields
     case_id, facts, judgment, optional split (default train) and optional
-    violated. A violations map passed separately overrides the per-document
-    field. Claims are the extracted set unioned with the violated set, which
-    guarantees every violated article is claimed. Documents without a facts
-    or judgment field are skipped and logged; kept case_ids must be unique.
+    violated. A violations file (a JSON object mapping case_id to violated
+    articles) overrides the per-document field. Claims are the extracted
+    set unioned with the violated set, which guarantees every violated
+    article is claimed. Documents without a facts or judgment field are
+    skipped and logged; kept case_ids must be unique.
 
-    Returns the splits plus a coverage report: how much of each violated set
-    the patterns recovered on their own, before the union.
+    Returns the splits plus a coverage report: how many of the violated
+    articles the patterns recovered on their own, before the union.
     """
     root = Path(raw_dir)
     files = sorted(root.glob("*.jsonl")) if root.is_dir() else []
@@ -176,7 +174,7 @@ def build_outcome_corpus(
     splits = SplitSet()
     skipped: list[str] = []
     recovered = total_violated = 0
-    per_case: dict[str, dict] = {}
+    kept: set[str] = set()
     for path in files:
         for where, doc in read_jsonl(path):
             case_id = doc.get("case_id")
@@ -191,21 +189,16 @@ def build_outcome_corpus(
             split = doc.get("split", "train")
             if split not in SPLIT_NAMES:
                 raise DataError(f"{where}: unknown split {split!r}")
-            if case_id in per_case:
+            if case_id in kept:
                 raise DataError(f"{where}: duplicate case_id {case_id!r}")
+            kept.add(case_id)
             if violations is not None and case_id in violations:
                 violated = violations[case_id]
             else:
                 violated = parse_article_list(doc.get("violated", []), "violated", where)
             extracted = extract_claims(judgment, patterns)
-            hit = len(extracted & violated)
-            recovered += hit
+            recovered += len(extracted & violated)
             total_violated += len(violated)
-            per_case[case_id] = {
-                "extracted": sorted(extracted),
-                "violated": sorted(violated),
-                "recovered": hit,
-            }
             splits.split(split).append(
                 Case(
                     case_id=case_id,
@@ -223,6 +216,5 @@ def build_outcome_corpus(
         "violated_total": total_violated,
         "violated_recovered": recovered,
         "violated_recall": (recovered / total_violated) if total_violated else None,
-        "per_case": per_case,
     }
     return splits, coverage

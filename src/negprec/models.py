@@ -93,12 +93,11 @@ def decide(dist: np.ndarray) -> np.ndarray:
     return np.argmax(dist, axis=-1).astype(np.int8)
 
 
-def decide_baseline(
-    p_pos: np.ndarray, p_neg: np.ndarray, threshold: float = 0.5
-) -> tuple[np.ndarray, np.ndarray]:
-    """Independent strict-threshold decisions. Both flags may be true for
-    the same cell; the baselines have no mechanism forbidding it."""
-    return p_pos > threshold, p_neg > threshold
+def decide_baseline(p_pos: np.ndarray, p_neg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Independent decisions: a flag is set when its probability is
+    strictly above 0.5. Both flags may be true for the same cell; the
+    baselines have no mechanism forbidding it."""
+    return p_pos > 0.5, p_neg > 0.5
 
 
 # --------------------------------------------------------------------------
@@ -167,8 +166,8 @@ class Model:
         self,
         index: ArticleIndex,
         params: dict[str, np.ndarray],
-        max_tokens: int = 0,
-        vectors: PrecomputedEncoder | None = None,
+        max_tokens: int,
+        vectors: PrecomputedEncoder | None,
     ) -> None:
         self.index = index
         self.params = params
@@ -182,9 +181,6 @@ class Model:
 
     def param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
-
-    def head_param_count(self) -> int:
-        return sum(int(p.size) for name, p in self.params.items() if ".emb" not in name)
 
     def _encode(self, batch, name: str) -> np.ndarray:
         if self.vectors is not None:
@@ -271,10 +267,6 @@ class _TwoHeadModel(Model):
         """Independent per-article probabilities (p_pos, p_neg), no dropout."""
         z = self._logits(batch)
         return sigmoid(z["pos"]), sigmoid(z["neg"])
-
-    def predict_pairs(self, batch, threshold: float = 0.5):
-        p_pos, p_neg = self.forward(batch)
-        return decide_baseline(p_pos, p_neg, threshold)
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         cache: dict = {}

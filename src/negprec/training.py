@@ -171,6 +171,10 @@ class Dataset:
 
 # Elements per block of Adam's whole-table update.
 _ADAM_BLOCK = 1 << 16
+# Kingma & Ba (2015)'s decay rates and epsilon, the only values used.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -189,7 +193,7 @@ class AdamState:
         )
 
 
-def _adam_update(p, m, v, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
+def _adam_update(p, m, v, g, lr, bc1, bc2) -> None:
     """Adam on p, m and v in place from the dense gradient g."""
     # m = beta1 m + (1 - beta1) g, v likewise, then
     # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same elementwise
@@ -199,15 +203,15 @@ def _adam_update(p, m, v, g, lr, beta1, beta2, bc1, bc2, eps) -> None:
     for lo in range(0, len(p), block_rows):
         block = slice(lo, lo + block_rows)
         mb, vb, gb = m[block], v[block], g[block]
-        mb *= beta1
-        mb += (1.0 - beta1) * gb
-        vb *= beta2
-        vb += (1.0 - beta2) * (gb * gb)
+        mb *= _ADAM_BETA1
+        mb += (1.0 - _ADAM_BETA1) * gb
+        vb *= _ADAM_BETA2
+        vb += (1.0 - _ADAM_BETA2) * (gb * gb)
         step = np.divide(mb, bc1)
         step *= lr
         denom = np.divide(vb, bc2)
         np.sqrt(denom, out=denom)
-        denom += eps
+        denom += _ADAM_EPS
         step /= denom
         p[block] -= step
 
@@ -217,13 +221,11 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> tuple[dict[str, np.ndarray], AdamState]:
+) -> None:
     """One bias-corrected Adam update, applied in place so that arrays
-    aliased elsewhere (encoder embeddings) stay current. Every gradient is
-    checked for non-finite values before any array is updated.
+    aliased elsewhere (encoder embeddings) stay current; it returns
+    nothing. Every gradient is checked for non-finite values before any
+    array is updated.
 
     A row whose gradient has been zero at every step keeps m = v = 0, so
     its update is exactly 0 and its bytes do not change. train() passes
@@ -234,10 +236,10 @@ def adam_step(
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in {name!r} at step {state.step + 1}")
     state.step += 1
-    hyper = (lr, beta1, beta2, 1.0 - beta1 ** state.step, 1.0 - beta2 ** state.step, eps)
+    bc1 = 1.0 - _ADAM_BETA1 ** state.step
+    bc2 = 1.0 - _ADAM_BETA2 ** state.step
     for name, g in grads.items():
-        _adam_update(params[name], state.m[name], state.v[name], g, *hyper)
-    return params, state
+        _adam_update(params[name], state.m[name], state.v[name], g, lr, bc1, bc2)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +251,6 @@ def adam_step(
 class TrainResult:
     model: Model
     config: TrainConfig
-    index: ArticleIndex
     log: list[dict] = field(default_factory=list)
     best_epoch: int = 0
     best_val_loss: float = math.inf
@@ -312,7 +313,7 @@ def train(
             model.params[name] = emb[vocab]
 
     state = AdamState.init(model.params)
-    result = TrainResult(model=model, config=config, index=index)
+    result = TrainResult(model=model, config=config)
     best_params: dict[str, np.ndarray] | None = None
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_ds))
@@ -389,21 +390,18 @@ GRID_PRESETS = {"full": FULL_GRID, "desk": DESK_GRID}
 def grid_search(
     arch: str,
     splits: SplitSet,
-    grid: GridSpec = DESK_GRID,
-    base_config: TrainConfig | None = None,
+    grid: GridSpec,
+    base_config: TrainConfig,
     index: ArticleIndex | None = None,
     vectors: PrecomputedEncoder | None = None,
 ) -> tuple[TrainResult, list[dict]]:
-    """Train every grid configuration, return the one with the lowest
-    validation loss plus a per-configuration summary. Diverged
+    """Train every grid configuration over base_config, return the one with
+    the lowest validation loss plus a per-configuration summary. Diverged
     configurations are recorded and skipped; all diverging is an error."""
-    base = base_config or TrainConfig()
-    if index is None:
-        index = filter_articles(splits)
     best: TrainResult | None = None
     summary: list[dict] = []
     for lr, dr, hidden in grid:
-        config = replace(base, learning_rate=lr, dropout=dr, hidden=hidden)
+        config = replace(base_config, learning_rate=lr, dropout=dr, hidden=hidden)
         row = {"learning_rate": lr, "dropout": dr, "hidden": hidden}
         try:
             result = train(arch, config, splits, index=index, vectors=vectors)

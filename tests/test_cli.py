@@ -556,6 +556,21 @@ class TestPrecomputedRoundTrip:
         argv = ["eval", "--ckpt", str(ckpt), "--corpus", str(corpus)]
         assert_exits(capsys, argv, 2, "precomputed checkpoint needs a vector table")
 
+    def test_zero_width_vector_table_is_data_error(self, pipeline, tmp_path, capsys):
+        # An empty vector would train a zero-width model; it is bad data.
+        splits = load_corpus(pipeline / "corpus")
+        table = tmp_path / "v0.jsonl"
+        table.write_text("".join(
+            json.dumps({"case_id": case.case_id, "vector": []}) + "\n"
+            for case in splits.train + splits.validation + splits.test
+        ), encoding="utf-8")
+        ckpt = tmp_path / "zero.npz"
+        argv = ["train", "--arch", "joint", "--corpus", str(pipeline / "corpus"),
+                "--out", str(ckpt), "--config", str(pipeline / "train.cfg"),
+                "--vectors", str(table)]
+        assert_exits(capsys, argv, 2, "v0.jsonl:1: vector must be a finite non-empty 1-d list")
+        assert not ckpt.exists()
+
 
 class TestOutputPaths:
     @pytest.mark.parametrize("command", ["stats", "eval", "train"])

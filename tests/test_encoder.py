@@ -231,5 +231,5 @@ class TestLoadVectorTable:
     def test_non_numeric_entry_rejected(self, tmp_path, entry):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"case_id": "a", "vector": [1.0, %s]}\n' % entry)
-        with pytest.raises(DataError, match=r"vectors\.jsonl:1: vector must be a finite 1-d list"):
+        with pytest.raises(DataError, match=r"vectors\.jsonl:1: vector must be a finite non-empty 1-d list"):
             load_vector_table(path)

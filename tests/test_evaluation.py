@@ -100,7 +100,6 @@ def random_three_way(n: int, k: int, seed: int) -> tuple[Predictions, LabelMatri
     preds = Predictions(
         case_ids=list(gold.case_ids),
         articles=tuple(range(2, 2 + k)),
-        kind="three_way",
         labels=rng.integers(0, 3, size=(n, k)).astype(np.int8),
     )
     return preds, gold
@@ -112,7 +111,6 @@ def random_baseline_preds(n: int, k: int, seed: int) -> tuple[Predictions, Label
     preds = Predictions(
         case_ids=list(gold.case_ids),
         articles=tuple(range(2, 2 + k)),
-        kind="baseline",
         pos=rng.random((n, k)) < 0.5,
         neg=rng.random((n, k)) < 0.5,
     )
@@ -170,7 +168,6 @@ class TestMicroF1:
         preds = Predictions(
             case_ids=list(gold.case_ids),
             articles=(2, 3),
-            kind="three_way",
             labels=gold.labels.copy(),
         )
         for cls in Outcome:
@@ -191,27 +188,27 @@ class TestMicroF1:
 
 class TestPredictionsValidation:
     def test_three_way_needs_labels(self):
-        with pytest.raises(DataError, match="three-way predictions need"):
-            Predictions(case_ids=["a"], articles=(2,), kind="three_way")
+        with pytest.raises(DataError, match="predictions need"):
+            Predictions(case_ids=["a"], articles=(2,))
 
     def test_three_way_needs_full_shape(self):
         with pytest.raises(DataError, match="three-way predictions need"):
             Predictions(
                 case_ids=["a", "b"],
                 articles=(2,),
-                kind="three_way",
                 labels=np.zeros((1, 1), dtype=np.int8),
             )
 
     def test_baseline_needs_both_arrays(self):
         with pytest.raises(DataError, match="baseline predictions need"):
-            Predictions(
-                case_ids=["a"], articles=(2,), kind="baseline", pos=np.zeros((1, 1), bool)
-            )
+            Predictions(case_ids=["a"], articles=(2,), pos=np.zeros((1, 1), bool))
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DataError, match="unknown prediction kind"):
-            Predictions(case_ids=["a"], articles=(2,), kind="fuzzy")
+    def test_labels_with_pos_or_neg_rejected(self):
+        labels = np.zeros((1, 1), dtype=np.int8)
+        flags = np.zeros((1, 1), dtype=bool)
+        for extra in ({"pos": flags}, {"neg": flags}, {"pos": flags, "neg": flags}):
+            with pytest.raises(DataError, match="either labels or pos and neg"):
+                Predictions(case_ids=["a"], articles=(2,), labels=labels, **extra)
 
     def test_baseline_has_no_null_mask(self):
         preds, _ = random_baseline_preds(2, 2, seed=0)
@@ -472,7 +469,6 @@ class TestPredictionFiles:
         preds = Predictions(
             case_ids=["a"],
             articles=(6, 2),
-            kind="three_way",
             labels=np.array([[Outcome.POS, Outcome.NEG]], dtype=np.int8),
         )
         path = tmp_path / "preds.jsonl"

@@ -196,7 +196,9 @@ class TestBuildOutcomeCorpus:
 
     def test_violations_map_overrides_document_field(self, tmp_path):
         raw = write_raw(tmp_path, [self.doc("a", "invoked Article 3", violated=[3])])
-        splits, _ = build_outcome_corpus(raw, violations_source={"a": [5]})
+        vfile = tmp_path / "violations.json"
+        vfile.write_text(json.dumps({"a": [5]}))
+        splits, _ = build_outcome_corpus(raw, violations_source=vfile)
         assert splits.train[0].violated == frozenset({5})
         assert splits.train[0].claims == frozenset({3, 5})
 
@@ -269,8 +271,10 @@ class TestBuildOutcomeCorpus:
 
     def test_bad_violations_map_value_rejected(self, tmp_path):
         raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6")])
+        vfile = tmp_path / "violations.json"
+        vfile.write_text(json.dumps({"a": ["x"]}))
         with pytest.raises(DataError, match="violated articles of 'a' must be a list"):
-            build_outcome_corpus(raw, violations_source={"a": ["x"]})
+            build_outcome_corpus(raw, violations_source=vfile)
 
     def test_repeated_case_id_rejected(self, tmp_path):
         raw = write_raw(tmp_path, [self.doc("a", "invoked Article 6")])
