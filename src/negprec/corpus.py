@@ -287,33 +287,24 @@ def filter_articles(splits: SplitSet) -> ArticleIndex:
 
 def split_stats(splits: SplitSet, index: ArticleIndex) -> dict:
     """Per-split case counts and per-article label histograms, restricted
-    to the index articles. JSON-ready."""
+    to the index articles and read off derive_labels. JSON-ready."""
     known = set(index.articles)
     out: dict = {"articles": list(index.articles), "splits": {}, "per_article": {}}
     for name in SPLIT_NAMES:
         cases = splits.split(name)
-        with_pos = with_neg = with_claim = zero_claim = 0
-        hist = {a: {"positive": 0, "negative": 0, "claimed": 0} for a in index.articles}
-        for case in cases:
-            claims = case.claims & known
-            violated = case.violated & known
-            negatives = claims - violated
-            with_pos += bool(violated)
-            with_neg += bool(negatives)
-            with_claim += bool(claims)
-            zero_claim += not claims
-            for a in violated:
-                hist[a]["positive"] += 1
-                hist[a]["claimed"] += 1
-            for a in negatives:
-                hist[a]["negative"] += 1
-                hist[a]["claimed"] += 1
+        rows = [derive_labels(c.claims & known, c.violated & known, index) for c in cases]
+        labels = np.array(rows, dtype=np.int8).reshape(len(cases), len(index))
+        pos, neg = labels == Outcome.POS, labels == Outcome.NEG
+        claimed = pos | neg
+        with_claim = int(claimed.any(axis=1).sum())
         out["splits"][name] = {
             "cases": len(cases),
-            "with_positive": with_pos,
-            "with_negative": with_neg,
+            "with_positive": int(pos.any(axis=1).sum()),
+            "with_negative": int(neg.any(axis=1).sum()),
             "with_claim": with_claim,
-            "zero_claim": zero_claim,
+            "zero_claim": len(cases) - with_claim,
         }
-        out["per_article"][name] = hist
+        columns = zip(index.articles, pos.sum(axis=0), neg.sum(axis=0), claimed.sum(axis=0))
+        out["per_article"][name] = {a: {"positive": int(p), "negative": int(n), "claimed": int(c)}
+                                    for a, p, n, c in columns}
     return out

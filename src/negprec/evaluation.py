@@ -210,36 +210,32 @@ def permutation_test(
     n = len(d)
     observed = abs(float(d.mean()))
     # The paired scores (per_case_scores) are integer counts, so d holds
-    # small integers and each sum in `signs @ d` adds +-1 times them
-    # exactly, in any order: the BLAS thread count cannot change a p-value.
+    # small integers and each sum of the sign-matrix product below adds
+    # +-1 times them exactly, in any order: the BLAS thread count cannot
+    # change a p-value.
     if n <= EXHAUSTIVE_LIMIT:
-        chunk = 1 << 14
-        total = 1 << n
-        hits = 0
+        mode, total, chunk = "exhaustive", 1 << n, 1 << 14
         bits = np.arange(n, dtype=np.uint32)
-        for start in range(0, total, chunk):
-            codes = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-            # cast before the affine map: on uint32, 0*2 - 1 would wrap around
-            signs = ((codes[:, None] >> bits) & 1).astype(np.float64) * 2.0 - 1.0
-            means = np.abs(signs @ d) / n
-            hits += int(np.sum(means >= observed))
-        return PermutationResult(hits / total, observed, n, "exhaustive", total)
-    if resamples < 1:
-        raise DataError("resamples must be >= 1")
-    rng = np.random.default_rng(seed)
+        codes = (np.arange(start, min(start + chunk, total), dtype=np.uint32)
+                 for start in range(0, total, chunk))
+        blocks = ((c[:, None] >> bits) & 1 for c in codes)
+    else:
+        if resamples < 1:
+            raise DataError("resamples must be >= 1")
+        mode, total = "sampled", resamples
+        rng = np.random.default_rng(seed)
+        # Blocks of about 2^20 signs (8 MB as float64), so memory does not
+        # grow with n. Each sign is one 32-bit draw, so the signs drawn do
+        # not depend on the block size.
+        rows = max(1, (1 << 20) // n)
+        blocks = (rng.integers(0, 2, size=(min(rows, total - start), n))
+                  for start in range(0, total, rows))
     hits = 0
-    remaining = resamples
-    # Blocks of about 2^20 signs (8 MB as float64), so memory does not grow
-    # with n. Each sign is one 32-bit draw, so the signs drawn do not depend
-    # on the block size.
-    block = max(1, (1 << 20) // n)
-    while remaining > 0:
-        take = min(block, remaining)
-        signs = rng.integers(0, 2, size=(take, n)).astype(np.float64) * 2 - 1
-        means = np.abs(signs @ d) / n
-        hits += int(np.sum(means >= observed))
-        remaining -= take
-    return PermutationResult(hits / resamples, observed, n, "sampled", resamples)
+    for block in blocks:
+        # cast before the affine map: on uint32, 0*2 - 1 would wrap around
+        signs = block.astype(np.float64) * 2.0 - 1.0
+        hits += int(np.sum(np.abs(signs @ d) / n >= observed))
+    return PermutationResult(hits / total, observed, n, mode, total)
 
 
 def per_case_scores(preds: Predictions, gold: LabelMatrix, cls: Outcome) -> np.ndarray:
@@ -260,23 +256,15 @@ def write_predictions(preds: Predictions, path: str | Path) -> None:
     """One JSON object per (case, article) cell, in case-major order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    if preds.kind == "three_way":
+        grid = [[{"pred": CLASS_NAMES[Outcome(int(v))]} for v in row] for row in preds.labels]
+    else:
+        grid = [[{"pos": bool(p), "neg": bool(n)} for p, n in zip(pos, neg)]
+                for pos, neg in zip(preds.pos, preds.neg)]
     with path.open("w", encoding="utf-8") as fh:
-        for i, case_id in enumerate(preds.case_ids):
-            for j, article in enumerate(preds.articles):
-                if preds.kind == "three_way":
-                    row = {
-                        "case_id": case_id,
-                        "article": article,
-                        "pred": CLASS_NAMES[Outcome(int(preds.labels[i, j]))],
-                    }
-                else:
-                    row = {
-                        "case_id": case_id,
-                        "article": article,
-                        "pos": bool(preds.pos[i, j]),
-                        "neg": bool(preds.neg[i, j]),
-                    }
-                fh.write(json.dumps(row))
+        for case_id, row in zip(preds.case_ids, grid):
+            for article, fields in zip(preds.articles, row):
+                fh.write(json.dumps({"case_id": case_id, "article": article, **fields}))
                 fh.write("\n")
 
 
@@ -295,9 +283,10 @@ def read_predictions(path: str | Path) -> Predictions:
             raise DataError(f"{where}: need case_id string and article int")
         if "pred" in row:
             row_kind = "three_way"
-            value: object = row["pred"]
-            if not isinstance(value, str) or value not in NAME_TO_CLASS:
-                raise DataError(f"{where}: unknown class {value!r}")
+            pred = row["pred"]
+            if not isinstance(pred, str) or pred not in NAME_TO_CLASS:
+                raise DataError(f"{where}: unknown class {pred!r}")
+            value: object = NAME_TO_CLASS[pred]
         elif "pos" in row and "neg" in row:
             row_kind = "baseline"
             if not isinstance(row["pos"], bool) or not isinstance(row["neg"], bool):
@@ -320,19 +309,11 @@ def read_predictions(path: str | Path) -> Predictions:
     for case_id, per_case in cells.items():
         if tuple(sorted(per_case)) != articles:
             raise DataError(f"case {case_id!r} covers a different article set")
-    shape = (len(case_ids), len(articles))
+    grid = [[cells[case_id][article] for article in articles] for case_id in case_ids]
     if kind == "three_way":
-        labels = np.zeros(shape, dtype=np.int8)
-        for i, case_id in enumerate(case_ids):
-            for j, article in enumerate(articles):
-                labels[i, j] = NAME_TO_CLASS[cells[case_id][article]]
-        return Predictions(case_ids, articles, labels=labels)
-    pos = np.zeros(shape, dtype=bool)
-    neg = np.zeros(shape, dtype=bool)
-    for i, case_id in enumerate(case_ids):
-        for j, article in enumerate(articles):
-            pos[i, j], neg[i, j] = cells[case_id][article]
-    return Predictions(case_ids, articles, pos=pos, neg=neg)
+        return Predictions(case_ids, articles, labels=np.array(grid, dtype=np.int8))
+    flags = np.array(grid, dtype=bool)
+    return Predictions(case_ids, articles, pos=flags[..., 0].copy(), neg=flags[..., 1].copy())
 
 
 # --------------------------------------------------------------------------
@@ -352,6 +333,12 @@ class ReportRow:
     def cell(self, key: str) -> str:
         value = self.scores.get(key)
         return "-" if value is None else f"{value:.2f}"
+
+    def cells(self) -> list[str]:
+        """The row as rendered in every report column: model, encoder,
+        corpus, then each score to two decimals or a dash."""
+        scores = [self.cell(c) for c in _REPORT_COLUMNS[3:]]
+        return [self.model, self.encoder, self.corpus] + scores
 
 
 def model_report_row(
@@ -406,10 +393,7 @@ def verify_all_arithmetic(rows: list[ReportRow], tolerance: float = 0.005) -> li
 def render_report(rows: list[ReportRow]) -> str:
     """Fixed-width text table, one row per (model, encoder, corpus)."""
     header = list(_REPORT_COLUMNS)
-    body = [
-        [row.model, row.encoder, row.corpus] + [row.cell(c) for c in header[3:]]
-        for row in rows
-    ]
+    body = [row.cells() for row in rows]
     widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
               for i in range(len(header))]
     lines = [
@@ -425,10 +409,7 @@ def report_to_csv(rows: list[ReportRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_REPORT_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [row.model, row.encoder, row.corpus] + [row.cell(c) for c in _REPORT_COLUMNS[3:]]
-        )
+    writer.writerows(row.cells() for row in rows)
     return buf.getvalue()
 
 

@@ -35,7 +35,7 @@ import numpy as np
 from . import encoder
 from .corpus import ArticleIndex, Outcome
 from .encoder import PrecomputedEncoder
-from .errors import DataError
+from .errors import DataError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -148,7 +148,8 @@ class Model:
     """One forward and one backward pass for every architecture, driven by
     the class's heads table of (head, encoder, width): each head reads one
     encoder (heads may share one) into `width` logits per article.
-    Subclasses add the loss rule (loss_and_grads) and the read-outs.
+    Subclasses add the loss rule (loss_and_grads); forward reads each head
+    out through a sigmoid, which joint overrides with its softmax.
 
     params maps dotted names to float64 arrays and holds every weight, the
     hashed bag-of-words tables ("<encoder>.emb") included; every shape
@@ -244,6 +245,29 @@ class Model:
                 )
         return grads
 
+    def forward(self, batch) -> tuple[np.ndarray, ...]:
+        """One sigmoid per head, in heads-table order, each (B, K), no
+        dropout: (p_pos, p_neg) for the baselines, (p_claim,
+        p_pos_given_claim) for claim_outcome."""
+        z = self._logits(batch)
+        return tuple(sigmoid(z[head]) for head, _, _ in self.heads)
+
+    def _sigmoid_loss(self, batch, dropout, rng, want_grads, targets):
+        """Summed binary cross-entropy of sigmoid heads, averaged over the
+        batch, and its gradients. targets maps each head to (target,
+        weight); a weight-0 cell adds no loss and no gradient, so its
+        logit may be anything, infinite included."""
+        cache: dict = {}
+        z = self._logits(batch, dropout, rng, cache)
+        b = max(len(batch.case_ids), 1)
+        neglogp = sum(self._clamp(np.where(w > 0, _bce_neglogp(z[h], t), 0.0))
+                      for h, (t, w) in targets.items())
+        loss = float(neglogp.sum() / b)
+        if not want_grads:
+            return loss, None
+        dz = {h: ((sigmoid(z[h]) - t) * w) / b for h, (t, w) in targets.items()}
+        return loss, self._backward(batch, cache, dz)
+
     def nll(self, batch) -> float:
         loss, _ = self.loss_and_grads(batch, dropout=0.0, rng=None, want_grads=False)
         return loss
@@ -263,24 +287,10 @@ class _TwoHeadModel(Model):
     """The loss of the simple and mtl baselines: two independent binary
     cross-entropies, one for the positive head and one for the negative."""
 
-    def forward(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        """Independent per-article probabilities (p_pos, p_neg), no dropout."""
-        z = self._logits(batch)
-        return sigmoid(z["pos"]), sigmoid(z["neg"])
-
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
-        cache: dict = {}
-        z = self._logits(batch, dropout, rng, cache)
         pos_t, neg_t, _ = _targets(batch)
-        b = max(len(batch.case_ids), 1)
-        neglogp = self._clamp(_bce_neglogp(z["pos"], pos_t)) + self._clamp(
-            _bce_neglogp(z["neg"], neg_t)
-        )
-        loss = float(neglogp.sum() / b)
-        if not want_grads:
-            return loss, None
-        dz = {"pos": (sigmoid(z["pos"]) - pos_t) / b, "neg": (sigmoid(z["neg"]) - neg_t) / b}
-        return loss, self._backward(batch, cache, dz)
+        targets = {"pos": (pos_t, 1.0), "neg": (neg_t, 1.0)}
+        return self._sigmoid_loss(batch, dropout, rng, want_grads, targets)
 
 
 class SimpleBaseline(_TwoHeadModel):
@@ -332,16 +342,12 @@ class JointModel(Model):
 class ClaimOutcomeModel(Model):
     """Claim head and outcome-given-claim head on separate encoders.
 
-    The outcome head only receives loss on claimed articles; together the
-    two binary losses are the exact negative log of the factorized joint."""
+    The outcome head only receives loss on claimed articles (its weight is
+    the claim target); together the two binary losses are the exact
+    negative log of the factorized joint."""
 
     arch = "claim_outcome"
     heads = (("claim", "claim_enc", 1), ("outcome", "outcome_enc", 1))
-
-    def forward(self, batch) -> tuple[np.ndarray, np.ndarray]:
-        """(p_claim, p_pos_given_claim), each (B, K), no dropout."""
-        z = self._logits(batch)
-        return sigmoid(z["claim"]), sigmoid(z["outcome"])
 
     def outcome_distribution(self, batch) -> np.ndarray:
         p_claim, p_pos_given_claim = self.forward(batch)
@@ -351,22 +357,9 @@ class ClaimOutcomeModel(Model):
         return decide(self.outcome_distribution(batch))
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
-        cache: dict = {}
-        z = self._logits(batch, dropout, rng, cache)
-        z_claim, z_out = z["claim"], z["outcome"]
         pos_t, _, claim_t = _targets(batch)
-        b = max(len(batch.case_ids), 1)
-        neglogp_claim = self._clamp(_bce_neglogp(z_claim, claim_t))
-        outcome_term = np.where(claim_t > 0, _bce_neglogp(z_out, pos_t), 0.0)
-        neglogp = neglogp_claim + self._clamp(outcome_term)
-        loss = float(neglogp.sum() / b)
-        if not want_grads:
-            return loss, None
-        dz = {
-            "claim": (sigmoid(z_claim) - claim_t) / b,
-            "outcome": ((sigmoid(z_out) - pos_t) * claim_t) / b,
-        }
-        return loss, self._backward(batch, cache, dz)
+        targets = {"claim": (claim_t, 1.0), "outcome": (pos_t, claim_t)}
+        return self._sigmoid_loss(batch, dropout, rng, want_grads, targets)
 
 
 # --------------------------------------------------------------------------
@@ -421,15 +414,24 @@ def build_model(
     order, so a seed pins every weight. The vector table decides the
     encoder: given `vectors`, the model reads them, takes its dim from them
     and has no embedding tables (vocab_buckets and max_tokens are unused);
-    without, it trains hashed bag-of-words tables."""
+    without, it trains hashed bag-of-words tables. A shape too large for
+    memory is a UsageError."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
     if vectors is not None:
         dim, max_tokens = vectors.dim, 0
     cls = _MODEL_CLASSES[arch]
     table = _param_table(cls, len(index), hidden, dim, vocab_buckets, vectors is None)
-    params = {name: rng.uniform(-bound, bound, size=shape)
-              for name, (shape, bound) in table.items()}
+    params = {}
+    for name, (shape, bound) in table.items():
+        try:
+            params[name] = rng.uniform(-bound, bound, size=shape)
+        except (MemoryError, ValueError) as exc:
+            # numpy refuses a size past its limit with "array is too big"
+            # and raises MemoryError when the allocation fails.
+            if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+                raise
+            raise UsageError(f"{name} of shape {shape} does not fit in memory") from exc
     return cls(index, params, max_tokens, vectors)
 
 

@@ -196,6 +196,21 @@ class TestTrain:
         assert_exits(capsys, argv, 1, "pre.cfg: unknown key 'encoder'")
         assert not (tmp_path / "x.npz").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        # past numpy's size limit: refused before any allocation
+        ("vocab_buckets", 1 << 62),
+        # 256 PiB: malloc fails at once
+        ("dim", 1 << 40),
+    ])
+    def test_shape_too_large_for_memory_is_usage_error(self, pipeline, tmp_path, key, value,
+                                                        capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"max_epochs = 1\n{key} = {value}\n", encoding="utf-8")
+        argv = ["train", "--arch", "mtl", "--corpus", str(pipeline / "corpus"),
+                "--out", str(tmp_path / "x.npz"), "--config", str(cfg)]
+        assert_exits(capsys, argv, 1, "enc.emb of shape")
+        assert not (tmp_path / "x.npz").exists()
+
 
 class TestEval:
     def test_report_and_predictions(self, pipeline, tmp_path, capsys):

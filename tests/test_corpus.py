@@ -324,6 +324,45 @@ class TestSplitStats:
             "claimed": 1,
         }
 
+    def test_articles_outside_the_index_count_as_unclaimed(self, tiny_splits):
+        # Article 8 is not in the index, so t-2 (claims {8} only) has no
+        # claim, and v-0 and s-0 lose their article-8 cell.
+        stats = split_stats(tiny_splits, ArticleIndex((2, 6)))
+        split_keys = ["cases", "with_positive", "with_negative", "with_claim", "zero_claim"]
+        expected_splits = {
+            "train": [4, 2, 1, 2, 2],
+            "validation": [1, 0, 1, 1, 0],
+            "test": [1, 1, 0, 1, 0],
+        }
+        # (positive, negative, claimed) of articles 2 and 6
+        expected_articles = {
+            "train": {2: (1, 0, 1), 6: (1, 1, 2)},
+            "validation": {2: (0, 1, 1), 6: (0, 1, 1)},
+            "test": {2: (1, 0, 1), 6: (1, 0, 1)},
+        }
+        assert list(stats) == ["articles", "splits", "per_article"]
+        assert stats["articles"] == [2, 6]
+        for name, counts in expected_splits.items():
+            assert list(stats["splits"][name]) == split_keys
+            assert list(stats["splits"][name].values()) == counts
+            for article, (p, n, c) in expected_articles[name].items():
+                assert stats["per_article"][name][article] == {
+                    "positive": p, "negative": n, "claimed": c,
+                }
+
+    def test_empty_split(self, tiny_splits):
+        splits = SplitSet(train=tiny_splits.train)
+        stats = split_stats(splits, ArticleIndex((2, 6)))
+        for name in ("validation", "test"):
+            assert stats["splits"][name] == {
+                "cases": 0, "with_positive": 0, "with_negative": 0,
+                "with_claim": 0, "zero_claim": 0,
+            }
+            assert stats["per_article"][name] == {
+                a: {"positive": 0, "negative": 0, "claimed": 0} for a in (2, 6)
+            }
+        json.dumps(stats)  # plain ints, even from an empty split
+
     def test_json_ready(self, tiny_splits):
         stats = split_stats(tiny_splits, ArticleIndex((2, 6, 8)))
         json.dumps(stats)  # must not raise

@@ -380,6 +380,32 @@ class TestLossOracles:
         assert model.clamp_warnings == 4  # 2 cases x 2 articles
         assert loss == pytest.approx(2 * -math.log(1e-12), rel=1e-12)
 
+    def test_unclaimed_outcome_overflow_adds_no_loss_or_gradient(self):
+        """An unclaimed cell gives the outcome head weight 0: even an
+        infinite outcome logit adds no loss, no clamp and no gradient."""
+        case_ids = ["a", "b"]
+        vectors = PrecomputedEncoder(
+            table={c: np.ones(4) for c in case_ids}, dim=4
+        )
+        model = build_model(
+            "claim_outcome", INDEX2, np.random.default_rng(7), dim=4, hidden=3,
+            vectors=vectors,
+        )
+        batch = make_batch(np.full((2, 2), Outcome.NULL), case_ids=case_ids)
+        expected = model.nll(batch)
+        # Article 2's outcome logits overflow to +inf, article 6's to -inf.
+        model.params["outcome.hidden_w"][...] = 1e200
+        model.params["outcome.out_w"][0] = 1e200
+        model.params["outcome.out_w"][1] = -1e200
+        _, z_out = self.logits_for(model, batch, "claim_outcome")
+        assert z_out == [[math.inf, -math.inf], [math.inf, -math.inf]]
+        loss, grads = model.loss_and_grads(batch)
+        assert loss == expected
+        assert model.clamp_warnings == 0
+        for name in ("outcome.hidden_w", "outcome.out_w"):
+            assert np.all(grads[name] == 0.0), name
+        assert all(np.isfinite(g).all() for g in grads.values())
+
 
 # --------------------------------------------------------------------------
 # gradients
