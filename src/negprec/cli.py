@@ -28,6 +28,7 @@ from .corpus import (
 from .encoder import load_vector_table
 from .errors import DataError, NumericError, UsageError
 from .evaluation import (
+    MAX_RESAMPLES,
     NAME_TO_CLASS,
     Predictions,
     model_report_row,
@@ -236,15 +237,8 @@ def cmd_eval(args) -> int:
     cases = splits.split(args.split)
     if not cases:
         raise DataError(f"split {args.split!r} is empty")
-    ds = Dataset.build(
-        cases,
-        model.index,
-        meta["max_tokens"],
-        meta["vocab_buckets"],
-        with_tokens=model.vectors is None,
-    )
-    gold = build_label_matrix(cases, model.index)
-    preds = predict_model(model, ds, model.index.articles)
+    gold = Dataset.build(cases, model.index, model.max_tokens, meta["vocab_buckets"])
+    preds = predict_model(model, gold, model.index.articles)
     corpus_name = Path(args.corpus).name
     if args.articles is not None:
         try:
@@ -276,6 +270,8 @@ def cmd_eval(args) -> int:
 def cmd_significance(args) -> int:
     if args.resamples < 1:
         raise UsageError("--resamples must be >= 1")
+    if args.resamples > MAX_RESAMPLES:
+        raise UsageError(f"--resamples must be <= {MAX_RESAMPLES}")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     preds_a = read_predictions(args.a)

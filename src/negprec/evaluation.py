@@ -181,6 +181,9 @@ def random_baseline(
 # --------------------------------------------------------------------------
 
 EXHAUSTIVE_LIMIT = 20
+# The most draws a caller may ask for: as many assignments as exhaustive
+# mode ever enumerates.
+MAX_RESAMPLES = 1 << EXHAUSTIVE_LIMIT
 
 
 @dataclass

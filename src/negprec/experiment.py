@@ -19,9 +19,10 @@ from pathlib import Path
 from . import __version__
 from .corpus import SplitSet, build_label_matrix, filter_articles, load_corpus
 from .encoder import load_vector_table
-from .errors import UsageError
+from .errors import DataError, UsageError
 from .evaluation import (
     CLASS_NAMES,
+    MAX_RESAMPLES,
     Predictions,
     ReportRow,
     model_report_row,
@@ -81,8 +82,11 @@ class ExperimentManifest:
             if arch not in ARCHITECTURES:
                 raise UsageError(f"unknown architecture {arch!r}")
         for name in ("resamples", "random_instantiations"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            if value < 1:
                 raise UsageError(f"{name} must be >= 1")
+            if value > MAX_RESAMPLES:
+                raise UsageError(f"{name} must be <= {MAX_RESAMPLES}")
         # TrainConfig checks the seeds, the shared fields and every grid point.
         for seed in self.seeds:
             base = self.base_config(seed)
@@ -117,22 +121,18 @@ def predict_model(model: Model, dataset: Dataset, articles: tuple[int, ...]) -> 
 
 
 def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_text: str = "") -> dict:
+    """Train, evaluate and write the bundle under out_dir. Nothing is
+    written there until the first model has trained."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    # Fail before any work when out cannot become a directory.
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise DataError(f"cannot write the bundle to {out}: {existing} is not a directory")
     splits: SplitSet = load_corpus(manifest.corpus)
     index = filter_articles(splits)
     vectors = load_vector_table(manifest.vectors) if manifest.vectors else None
 
     gold = build_label_matrix(splits.test, index)
-    # The grid varies neither max_tokens nor vocab_buckets, so every model
-    # sees the same tokenized test split.
-    test_ds = Dataset.build(
-        splits.test,
-        index,
-        manifest.max_tokens,
-        manifest.vocab_buckets,
-        with_tokens=vectors is None,
-    )
     grid = manifest.grid_spec()
     rows: list[ReportRow] = []
     run_records: list[dict] = []
@@ -154,6 +154,9 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
                 out / "checkpoints" / f"{tag}.npz",
                 extra_meta={"seed": seed, "learning_rate": best.config.learning_rate,
                             "dropout": best.config.dropout},
+            )
+            test_ds = Dataset.build(
+                splits.test, index, best.model.max_tokens, manifest.vocab_buckets
             )
             preds = predict_model(best.model, test_ds, index.articles)
             predictions[(arch, seed)] = preds

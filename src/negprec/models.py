@@ -156,8 +156,9 @@ class Model:
     (articles, hidden, dim, buckets) is read off them. The vector table
     decides the encoder: a model given precomputed `vectors` reads every
     encoder from them and has no table, one without reads its tables.
-    max_tokens is the token limit its tables were trained with (0 without
-    tables); checkpoints record it.
+    max_tokens is the token limit its tables were trained with, 0 without
+    tables; checkpoints record it, and the model's datasets are tokenized
+    exactly when it is above 0 (Dataset.build).
     """
 
     arch = ""
@@ -520,6 +521,10 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
         raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
     cls = _MODEL_CLASSES[arch]
     tables = encoder_kind == "hashed_bow"
+    # Dataset.build tokenizes exactly when max_tokens > 0, that is, for a
+    # model with tables.
+    if tables != (max_tokens > 0):
+        raise DataError(f"{p}: max_tokens {max_tokens} does not fit a {encoder_kind} checkpoint")
     expected = _param_table(cls, len(index), hidden, dim, vocab_buckets, tables)
     for name, (shape, _) in expected.items():
         if name not in params:

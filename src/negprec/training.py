@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ArticleIndex, Case, SplitSet, build_label_matrix, filter_articles
+from .corpus import ArticleIndex, Case, LabelMatrix, SplitSet, build_label_matrix, filter_articles
 from .encoder import PrecomputedEncoder, tokenize
 from .errors import DataError, NumericError, UsageError
 from .models import ARCHITECTURES, SHAPE_DEFAULTS, Model, build_model
@@ -122,38 +122,26 @@ def load_kv(cls, path: str | Path, kind: str = ""):
 
 
 @dataclass
-class Dataset:
-    """Tokenized cases plus their label projection, ready for batching."""
+class Dataset(LabelMatrix):
+    """A label matrix plus each case's token ids, ready for batching."""
 
-    case_ids: list[str]
     tokens: list[np.ndarray]
-    labels: np.ndarray
-    claims: np.ndarray
 
     def __len__(self) -> int:
         return len(self.case_ids)
 
     @classmethod
     def build(
-        cls,
-        cases: list[Case],
-        index: ArticleIndex,
-        max_tokens: int,
-        vocab_buckets: int,
-        with_tokens: bool = True,
+        cls, cases: list[Case], index: ArticleIndex, max_tokens: int, vocab_buckets: int
     ) -> "Dataset":
-        matrix = build_label_matrix(cases, index)
-        if with_tokens:
+        """Project cases onto index, tokenizing their facts when max_tokens
+        > 0. Callers pass their model's max_tokens, which is 0 for a model
+        without embedding tables, so its datasets hold empty token arrays."""
+        if max_tokens > 0:
             tokens = [tokenize(c.facts, max_tokens, vocab_buckets) for c in cases]
         else:
-            # Precomputed-vector models never read tokens.
             tokens = [np.empty(0, dtype=np.int64) for _ in cases]
-        return cls(
-            case_ids=matrix.case_ids,
-            tokens=tokens,
-            labels=matrix.labels,
-            claims=matrix.claims,
-        )
+        return cls(**vars(build_label_matrix(cases, index)), tokens=tokens)
 
     def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
@@ -222,10 +210,9 @@ def adam_step(
     state: AdamState,
     lr: float,
 ) -> None:
-    """One bias-corrected Adam update, applied in place so that arrays
-    aliased elsewhere (encoder embeddings) stay current; it returns
-    nothing. Every gradient is checked for non-finite values before any
-    array is updated.
+    """One bias-corrected Adam update of params, m and v in place; it
+    returns nothing. Every gradient is checked for non-finite values before
+    any array is updated.
 
     A row whose gradient has been zero at every step keeps m = v = 0, so
     its update is exactly 0 and its bytes do not change. train() passes
@@ -284,33 +271,29 @@ def train(
         max_tokens=config.max_tokens,
         vectors=vectors,
     )
-    with_tokens = vectors is None
-    train_ds = Dataset.build(
-        splits.train, index, config.max_tokens, config.vocab_buckets, with_tokens
-    )
-    val_ds = Dataset.build(
-        splits.validation, index, config.max_tokens, config.vocab_buckets, with_tokens
-    )
+    train_ds = Dataset.build(splits.train, index, model.max_tokens, config.vocab_buckets)
+    val_ds = Dataset.build(splits.validation, index, model.max_tokens, config.vocab_buckets)
     if not len(val_ds):
         raise DataError("validation split is empty")
     # Train each embedding on the rows the training and validation tokens
     # hash to, with the tokens renumbered to match. No other row gets a
     # gradient, and a row without one yet has m = v = 0, so its Adam step
     # is exactly 0: the result is bit-identical to training the whole table.
+    # A model without tables has no tokens and gets an empty mask, so
+    # nothing here changes it.
     full = {n: p for n, p in model.params.items() if n.endswith(".emb")}
-    if with_tokens:
-        # A mask and in-place renumbering copy one case's ids at a time;
-        # np.unique over all ids concatenated raised peak memory by about
-        # 5 MB at 425 tokens per case.
-        seen = np.zeros(config.vocab_buckets, dtype=bool)
-        for ids in train_ds.tokens + val_ds.tokens:
-            seen[ids] = True
-        vocab = np.flatnonzero(seen)
-        for ds in (train_ds, val_ds):
-            for i, ids in enumerate(ds.tokens):
-                ds.tokens[i] = np.searchsorted(vocab, ids)
-        for name, emb in full.items():
-            model.params[name] = emb[vocab]
+    # A mask and in-place renumbering copy one case's ids at a time;
+    # np.unique over all ids concatenated raised peak memory by about
+    # 5 MB at 425 tokens per case.
+    seen = np.zeros(max(map(len, full.values()), default=0), dtype=bool)
+    for ids in train_ds.tokens + val_ds.tokens:
+        seen[ids] = True
+    vocab = np.flatnonzero(seen)
+    for ds in (train_ds, val_ds):
+        for i, ids in enumerate(ds.tokens):
+            ds.tokens[i] = np.searchsorted(vocab, ids)
+    for name, emb in full.items():
+        model.params[name] = emb[vocab]
 
     state = AdamState.init(model.params)
     result = TrainResult(model=model, config=config)

@@ -366,15 +366,25 @@ class TestSignificance:
         assert "different cases or articles" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flag,value", [("--seed", "-1"), ("--resamples", "0")], ids=["seed", "resamples"]
+        "flag,value,message",
+        [
+            ("--seed", "-1", "--seed must be >= 0"),
+            ("--resamples", "0", "--resamples must be >= 1"),
+            # Above the bound: rejected before any draw, although this
+            # fixture's test split is small enough for exhaustive mode.
+            ("--resamples", "99999999999999999999", "--resamples must be <= 1048576"),
+        ],
+        ids=["seed", "resamples", "resamples-above-bound"],
     )
-    def test_bad_flag_is_usage_error(self, pipeline, prediction_files, flag, value, capsys):
+    def test_bad_flag_is_usage_error(
+        self, pipeline, prediction_files, flag, value, message, capsys
+    ):
         argv = [
             "significance", "--corpus", str(pipeline / "corpus"),
             "--a", str(prediction_files["joint"]), "--b", str(prediction_files["simple"]),
             flag, value,
         ]
-        assert_exits(capsys, argv, 1, f"{flag} must be")
+        assert_exits(capsys, argv, 1, message)
 
     def test_non_object_prediction_line_is_data_error(
         self, pipeline, prediction_files, tmp_path, capsys
@@ -437,6 +447,27 @@ class TestRun:
         assert "resamples must be >= 1" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.rglob("*"))
 
+    def test_model_too_large_for_memory_leaves_no_bundle(self, pipeline, tmp_path, capsys):
+        # The first table alone needs 2^40 floats per row, past any address
+        # space, so numpy refuses it without allocating anything.
+        manifest = tmp_path / "manifest.cfg"
+        manifest.write_text(
+            f"corpus = {pipeline / 'corpus'}\narchitectures = simple\nhiddens = 4\n"
+            "max_epochs = 1\ndim = 1099511627776\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "bundle"
+        argv = ["run", "--manifest", str(manifest), "--out", str(out_dir)]
+        assert_exits(capsys, argv, 1, "does not fit in memory")
+        assert not out_dir.exists()
+
+    def test_missing_corpus_leaves_no_bundle(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.cfg"
+        manifest.write_text(f"corpus = {tmp_path / 'no-corpus'}\n", encoding="utf-8")
+        out_dir = tmp_path / "bundle"
+        argv = ["run", "--manifest", str(manifest), "--out", str(out_dir)]
+        assert_exits(capsys, argv, 2, "corpus directory not found")
+        assert not out_dir.exists()
 
     def test_non_utf8_manifest_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.cfg"

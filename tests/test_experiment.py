@@ -145,6 +145,9 @@ class TestParseManifest:
             ("grid = huge", "unknown grid preset 'huge'"),
             ("resamples = 0", "resamples must be >= 1"),
             ("random_instantiations = 0", "random_instantiations must be >= 1"),
+            ("resamples = 1048577", "resamples must be <= 1048576"),
+            ("resamples = 99999999999999999999", "resamples must be <= 1048576"),
+            ("random_instantiations = 1048577", "random_instantiations must be <= 1048576"),
             ("architectures = simple, simple", "architectures must not repeat"),
             ("seeds = 0, 0", "seeds must not repeat"),
             ("seeds = 0, -1", "seed must be >= 0"),

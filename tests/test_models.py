@@ -680,6 +680,25 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="malformed checkpoint metadata"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("max_tokens", [0, -1, 8])
+    def test_max_tokens_must_fit_encoder_kind(self, max_tokens, tmp_path):
+        # A model tokenizes its cases exactly when max_tokens > 0, so a
+        # hashed_bow checkpoint needs a positive one and a precomputed one 0.
+        vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
+        model = build_model("joint", INDEX2, np.random.default_rng(0), dim=4, vocab_buckets=8,
+                            vectors=vectors if max_tokens > 0 else None)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+
+        def set_max_tokens(arrays):
+            meta = json.loads(str(arrays["_meta"]))
+            meta["max_tokens"] = max_tokens
+            arrays["_meta"] = np.asarray(json.dumps(meta))
+
+        self.rewrite(path, set_max_tokens)
+        with pytest.raises(DataError, match=f"max_tokens {max_tokens} does not fit"):
+            load_checkpoint(path, vectors=model.vectors)
+
     def test_precomputed_vector_dimension_checked(self, tmp_path):
         vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
         model = build_model("joint", INDEX2, np.random.default_rng(0), dim=4,

@@ -82,8 +82,7 @@ def full_table_oracle(arch, config, splits, vectors=None):
     Returns those weights and the per-epoch log."""
     model, rng = initial_model(arch, config, splits, vectors)
     train_ds, val_ds = (
-        Dataset.build(cases, model.index, config.max_tokens, config.vocab_buckets,
-                      with_tokens=vectors is None)
+        Dataset.build(cases, model.index, model.max_tokens, config.vocab_buckets)
         for cases in (splits.train, splits.validation)
     )
     params, lr = model.params, config.learning_rate
@@ -342,12 +341,24 @@ class TestDataset:
         np.testing.assert_array_equal(ds.claims, ds.labels != Outcome.NULL)
         assert all(t.size > 0 for t in ds.tokens)
 
-    def test_build_without_tokens(self, tiny_splits):
+    def test_build_without_tokens(self, tiny_splits, monkeypatch):
+        # A model without embedding tables has max_tokens 0: its datasets
+        # hold empty token arrays, and no case is tokenized.
+        def refuse(*args):
+            raise AssertionError("tokenize called for max_tokens 0")
+
+        monkeypatch.setattr(negprec.training, "tokenize", refuse)
         index = ArticleIndex((2, 6, 8))
-        ds = Dataset.build(
-            tiny_splits.train, index, max_tokens=16, vocab_buckets=32, with_tokens=False
-        )
-        assert all(t.size == 0 for t in ds.tokens)
+        ds = Dataset.build(tiny_splits.train, index, max_tokens=0, vocab_buckets=32)
+        assert len(ds.tokens) == 4
+        assert all(t.size == 0 and t.dtype == np.int64 for t in ds.tokens)
+
+    def test_claims_must_match_labels(self, tiny_splits):
+        # A dataset is a label matrix, and gets its check.
+        ds = Dataset.build(tiny_splits.train, ArticleIndex((2, 6, 8)), 16, 32)
+        with pytest.raises(DataError, match="claims must mark exactly"):
+            Dataset(case_ids=ds.case_ids, tokens=ds.tokens, labels=ds.labels,
+                    claims=~ds.claims)
 
     def test_subset(self, tiny_splits):
         index = ArticleIndex((2, 6, 8))
