@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import weakref
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -121,6 +122,11 @@ def load_kv(cls, path: str | Path, kind: str = ""):
 # --------------------------------------------------------------------------
 
 
+# Token ids of each live case, per (max_tokens, vocab_buckets), in the
+# smallest unsigned dtype that holds a bucket id. An entry goes with its case.
+_TOKEN_IDS: dict[tuple[int, int], weakref.WeakKeyDictionary] = {}
+
+
 @dataclass
 class Dataset(LabelMatrix):
     """A label matrix plus each case's token ids, ready for batching."""
@@ -134,11 +140,22 @@ class Dataset(LabelMatrix):
     def build(
         cls, cases: list[Case], index: ArticleIndex, max_tokens: int, vocab_buckets: int
     ) -> "Dataset":
-        """Project cases onto index, tokenizing their facts when max_tokens
-        > 0. Callers pass their model's max_tokens, which is 0 for a model
-        without embedding tables, so its datasets hold empty token arrays."""
+        """Project cases onto index, with their facts' token ids when
+        max_tokens > 0. Callers pass their model's max_tokens, which is 0 for
+        a model without embedding tables, so its datasets hold empty token
+        arrays.
+
+        A case is tokenized once per (max_tokens, vocab_buckets) while it is
+        alive; later builds get fresh int64 copies of its stored ids."""
         if max_tokens > 0:
-            tokens = [tokenize(c.facts, max_tokens, vocab_buckets) for c in cases]
+            cache = _TOKEN_IDS.setdefault((max_tokens, vocab_buckets), weakref.WeakKeyDictionary())
+            tokens = []
+            for c in cases:
+                ids = cache.get(c)
+                if ids is None:
+                    ids = tokenize(c.facts, max_tokens, vocab_buckets)
+                    ids = cache[c] = ids.astype(np.min_scalar_type(vocab_buckets - 1))
+                tokens.append(ids.astype(np.int64))
         else:
             tokens = [np.empty(0, dtype=np.int64) for _ in cases]
         return cls(**vars(build_label_matrix(cases, index)), tokens=tokens)

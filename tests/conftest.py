@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import negprec.training
 from negprec.corpus import Case, SplitSet
 
 
@@ -14,6 +15,19 @@ def make_case(case_id, facts, claims, violated) -> Case:
         claims=frozenset(claims),
         violated=frozenset(violated),
     )
+
+
+def count_tokenize(monkeypatch) -> list[str]:
+    """Wrap training.tokenize; the returned list gets each text it is called on."""
+    calls: list[str] = []
+    real = negprec.training.tokenize
+
+    def counting(text, max_tokens, vocab_buckets):
+        calls.append(text)
+        return real(text, max_tokens, vocab_buckets)
+
+    monkeypatch.setattr(negprec.training, "tokenize", counting)
+    return calls
 
 
 @pytest.fixture

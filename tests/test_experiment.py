@@ -6,10 +6,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import count_tokenize
 from negprec.corpus import filter_articles, load_corpus, save_corpus
 from negprec.encoder import load_vector_table
 from negprec.errors import UsageError
@@ -313,6 +316,25 @@ class TestRunExperiment:
         model = load_checkpoint(tmp_path / "run" / "checkpoints" / "joint-seed0.npz",
                                 vectors=load_vector_table(vectors))
         assert model.checkpoint_meta["dim"] == 3
+
+    def test_run_tokenizes_each_case_once(self, tmp_path, monkeypatch):
+        # Every model of a run shares max_tokens and vocab_buckets, so its
+        # four train() calls and two test-split builds tokenize each case
+        # once. A corpus seed used nowhere else keeps other tests' cases out.
+        corpus = tmp_path / "corpus"
+        save_corpus(generate_corpus(replace(TINY_GEN, seed=11)), corpus)
+        calls = count_tokenize(monkeypatch)
+        path = tmp_path / "m.cfg"
+        path.write_text(
+            f"corpus = {corpus}\narchitectures = simple, joint\nlearning_rates = 0.01\n"
+            "dropouts = 0.0\nhiddens = 4, 6\nmax_epochs = 1\ndim = 8\nvocab_buckets = 64\n"
+            "max_tokens = 48\nresamples = 20\nrandom_instantiations = 5\n",
+            encoding="utf-8",
+        )
+        run_experiment(parse_manifest(path), tmp_path / "run")
+        splits = load_corpus(corpus)
+        cases = splits.train + splits.validation + splits.test
+        assert Counter(calls) == Counter(c.facts for c in cases)
 
     def test_rerun_is_byte_identical(self, bundle, corpus_dir, tmp_path):
         manifest, text, run_dir, _ = bundle

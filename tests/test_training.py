@@ -6,6 +6,7 @@ Python scalars, compared against the vectorized in-place implementation.
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import subprocess
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 import negprec
+from conftest import count_tokenize
 from negprec.corpus import ArticleIndex, Outcome, filter_articles
 from negprec.encoder import PrecomputedEncoder, tokenize
 from negprec.errors import DataError, NumericError, UsageError
@@ -329,6 +331,12 @@ class TestConfigParsing:
             load_kv(TrainConfig, path)
 
 
+def fresh_cases(splits, tag: str) -> list:
+    """The training cases with ``tag`` prepended to their facts, so that no
+    case another test keeps alive equals one of them."""
+    return [replace(c, facts=f"{tag} {c.facts}") for c in splits.train]
+
+
 class TestDataset:
     def test_build_matches_label_matrix(self, tiny_splits):
         index = ArticleIndex((2, 6, 8))
@@ -352,6 +360,67 @@ class TestDataset:
         ds = Dataset.build(tiny_splits.train, index, max_tokens=0, vocab_buckets=32)
         assert len(ds.tokens) == 4
         assert all(t.size == 0 and t.dtype == np.int64 for t in ds.tokens)
+
+    def test_each_case_is_tokenized_once(self, tiny_splits, monkeypatch):
+        cases = fresh_cases(tiny_splits, "once")
+        calls = count_tokenize(monkeypatch)
+        index = ArticleIndex((2, 6, 8))
+        first = Dataset.build(cases, index, 16, 32)
+        second = Dataset.build(cases, index, 16, 32)
+        # Equal cases are equal facts, so a copy of a case shares its ids.
+        third = Dataset.build([replace(c) for c in cases], index, 16, 32)
+        assert sorted(calls) == sorted(c.facts for c in cases)
+        for ds in (second, third):
+            for a, b in zip(first.tokens, ds.tokens):
+                np.testing.assert_array_equal(a, b)
+
+    def test_other_shape_tokenizes_again(self, tiny_splits, monkeypatch):
+        cases = fresh_cases(tiny_splits, "shape")
+        calls = count_tokenize(monkeypatch)
+        index = ArticleIndex((2, 6, 8))
+        for max_tokens, vocab_buckets in ((16, 32), (3, 32), (16, 64), (16, 32)):
+            ds = Dataset.build(cases, index, max_tokens, vocab_buckets)
+            assert [t.tolist() for t in ds.tokens] == [
+                tokenize(c.facts, max_tokens, vocab_buckets).tolist() for c in cases
+            ]
+        assert len(calls) == 3 * len(cases)
+
+    def test_builds_get_their_own_int64_arrays(self, tiny_splits):
+        cases = fresh_cases(tiny_splits, "copies")
+        index = ArticleIndex((2, 6, 8))
+        a = Dataset.build(cases, index, 16, 32)
+        b = Dataset.build(cases, index, 16, 32)
+        kept = [t.copy() for t in b.tokens]
+        for x, y in zip(a.tokens, b.tokens):
+            assert x.dtype == y.dtype == np.int64
+            assert x.flags.writeable and y.flags.writeable
+            assert not np.shares_memory(x, y)
+            x += 1
+        c = Dataset.build(cases, index, 16, 32)
+        for want, y, z in zip(kept, b.tokens, c.tokens):
+            np.testing.assert_array_equal(y, want)
+            np.testing.assert_array_equal(z, want)
+
+    def test_wide_bucket_ids_survive_storage(self, tiny_splits):
+        # Above 65536 buckets an id needs more than 16 bits.
+        cases = fresh_cases(tiny_splits, "wide")
+        ds = Dataset.build(cases, ArticleIndex((2, 6, 8)), 512, 1 << 20)
+        for c, ids in zip(cases, ds.tokens):
+            want = tokenize(c.facts, 512, 1 << 20)
+            assert ids.dtype == np.int64
+            np.testing.assert_array_equal(ids, want)
+        assert max(int(ids.max()) for ids in ds.tokens) > 65535
+
+    def test_stored_ids_go_with_their_cases(self, tiny_splits):
+        cases = fresh_cases(tiny_splits, "freed")
+        Dataset.build(cases, ArticleIndex((2, 6, 8)), 7, 4099)
+        stored = negprec.training._TOKEN_IDS[(7, 4099)]
+        assert len(stored) == len(cases)
+        # 4099 buckets fit in 2 bytes per token.
+        assert all(ids.dtype == np.uint16 for ids in stored.values())
+        del cases
+        gc.collect()
+        assert len(stored) == 0
 
     def test_claims_must_match_labels(self, tiny_splits):
         # A dataset is a label matrix, and gets its check.
