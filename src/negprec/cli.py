@@ -2,7 +2,7 @@
 
 Subcommands: extract (raw documents -> corpus), stats, synth, train, eval,
 significance, run (manifest-driven experiment bundle). Exit codes: 0 ok,
-1 usage error, 2 data error, 3 numeric failure.
+otherwise the error kind's own (errors.py).
 """
 
 from __future__ import annotations
@@ -26,14 +26,12 @@ from .corpus import (
     SPLIT_NAMES,
 )
 from .encoder import load_vector_table
-from .errors import DataError, NumericError, UsageError
+from .errors import DataError, NegprecError, UsageError
 from .evaluation import (
-    MAX_RESAMPLES,
     NAME_TO_CLASS,
     Predictions,
+    check_draws,
     model_report_row,
-    per_case_scores,
-    permutation_test,
     random_baseline,
     random_report_row,
     read_predictions,
@@ -42,17 +40,16 @@ from .evaluation import (
     score_predictions,
     write_predictions,
 )
-from .experiment import parse_manifest, predict_model, run_experiment
+from .experiment import paired_test, parse_manifest, predict_model, run_experiment
 from .extraction import DEFAULT_PATTERNS, build_outcome_corpus, load_patterns
 from .models import ARCHITECTURES, load_checkpoint, save_checkpoint
 from .synth import GenConfig, generate_corpus
 from .training import Dataset, TrainConfig, comma_list, load_kv, train
 
-log = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; the contract here is 1."""
+    """argparse exits with status 2 on a bad invocation; here that is a
+    UsageError, exit 1."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
@@ -232,12 +229,11 @@ def _subset_articles(
 def cmd_eval(args) -> int:
     vectors = load_vector_table(args.vectors) if args.vectors else None
     model = load_checkpoint(args.ckpt, vectors=vectors)
-    meta = model.checkpoint_meta
     splits = load_corpus(args.corpus)
     cases = splits.split(args.split)
     if not cases:
         raise DataError(f"split {args.split!r} is empty")
-    gold = Dataset.build(cases, model.index, model.max_tokens, meta["vocab_buckets"])
+    gold = Dataset.build(cases, model.index, model.max_tokens, model.vocab_buckets)
     preds = predict_model(model, gold, model.index.articles)
     corpus_name = Path(args.corpus).name
     if args.articles is not None:
@@ -254,7 +250,7 @@ def cmd_eval(args) -> int:
     scores = score_predictions(preds_scored, gold_scored)
     random_stats = random_baseline(gold_scored, 100, seed=0)
     rows = [
-        model_report_row(meta["arch"], model.encoder_kind, corpus_name, scores),
+        model_report_row(model.arch, model.encoder_kind, corpus_name, scores),
         random_report_row(random_stats, corpus_name),
     ]
     print(render_report(rows), end="")
@@ -268,10 +264,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    if args.resamples < 1:
-        raise UsageError("--resamples must be >= 1")
-    if args.resamples > MAX_RESAMPLES:
-        raise UsageError(f"--resamples must be <= {MAX_RESAMPLES}")
+    check_draws("--resamples", args.resamples)
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
     preds_a = read_predictions(args.a)
@@ -285,13 +278,7 @@ def cmd_significance(args) -> int:
         raise DataError(f"cases missing from {args.split}: {missing[:5]}")
     ordered = [cases[cid] for cid in preds_a.case_ids]
     gold = build_label_matrix(ordered, ArticleIndex(preds_a.articles))
-    cls = NAME_TO_CLASS[args.cls]
-    result = permutation_test(
-        per_case_scores(preds_a, gold, cls),
-        per_case_scores(preds_b, gold, cls),
-        resamples=args.resamples,
-        seed=args.seed,
-    )
+    result = paired_test(preds_a, preds_b, gold, NAME_TO_CLASS[args.cls], args.resamples, args.seed)
     print(
         f"class {args.cls}: p = {result.p_value:.6f} "
         f"({result.mode}, {result.assignments} assignments, "
@@ -318,18 +305,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+    except NegprecError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # e.g. an output path that is a directory, or a file
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{DataError.label}: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

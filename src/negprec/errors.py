@@ -1,7 +1,7 @@
 """Error taxonomy shared across the package.
 
-The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
-NumericError -> 3. Library code raises them directly.
+Each kind carries the CLI's exit code for it and the label its message is
+printed under. Library code raises them directly.
 """
 
 
@@ -12,10 +12,16 @@ class NegprecError(Exception):
 class UsageError(NegprecError):
     """Bad invocation: unknown flags, missing arguments, malformed config."""
 
+    exit_code, label = 1, "usage error"
+
 
 class DataError(NegprecError):
     """Broken input data: schema violations, integrity failures, missing files."""
 
+    exit_code, label = 2, "data error"
+
 
 class NumericError(NegprecError):
     """Numeric failure: divergence, non-finite gradients, failed checks."""
+
+    exit_code, label = 3, "numeric error"

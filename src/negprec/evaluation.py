@@ -12,16 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import LabelMatrix, Outcome, read_jsonl
-from .errors import DataError
-
-log = logging.getLogger(__name__)
+from .errors import DataError, UsageError
 
 CLASS_NAMES = {Outcome.POS: "pos", Outcome.NEG: "neg", Outcome.NULL: "null"}
 NAME_TO_CLASS = {v: k for k, v in CLASS_NAMES.items()}
@@ -184,6 +181,14 @@ EXHAUSTIVE_LIMIT = 20
 # The most draws a caller may ask for: as many assignments as exhaustive
 # mode ever enumerates.
 MAX_RESAMPLES = 1 << EXHAUSTIVE_LIMIT
+
+
+def check_draws(name: str, value: int) -> None:
+    """A user-given count of random draws must lie in [1, MAX_RESAMPLES]."""
+    if value < 1:
+        raise UsageError(f"{name} must be >= 1")
+    if value > MAX_RESAMPLES:
+        raise UsageError(f"{name} must be <= {MAX_RESAMPLES}")
 
 
 @dataclass

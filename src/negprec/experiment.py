@@ -17,14 +17,15 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .corpus import SplitSet, build_label_matrix, filter_articles, load_corpus
+from .corpus import LabelMatrix, Outcome, SplitSet, build_label_matrix, filter_articles, load_corpus
 from .encoder import load_vector_table
 from .errors import DataError, UsageError
 from .evaluation import (
     CLASS_NAMES,
-    MAX_RESAMPLES,
+    PermutationResult,
     Predictions,
     ReportRow,
+    check_draws,
     model_report_row,
     per_case_scores,
     permutation_test,
@@ -82,11 +83,7 @@ class ExperimentManifest:
             if arch not in ARCHITECTURES:
                 raise UsageError(f"unknown architecture {arch!r}")
         for name in ("resamples", "random_instantiations"):
-            value = getattr(self, name)
-            if value < 1:
-                raise UsageError(f"{name} must be >= 1")
-            if value > MAX_RESAMPLES:
-                raise UsageError(f"{name} must be <= {MAX_RESAMPLES}")
+            check_draws(name, getattr(self, name))
         # TrainConfig checks the seeds, the shared fields and every grid point.
         for seed in self.seeds:
             base = self.base_config(seed)
@@ -124,10 +121,12 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
     """Train, evaluate and write the bundle under out_dir. Nothing is
     written there until the first model has trained."""
     out = Path(out_dir)
-    # Fail before any work when out cannot become a directory.
+    # Fail before any work when out cannot become a directory or holds files.
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():
         raise DataError(f"cannot write the bundle to {out}: {existing} is not a directory")
+    if existing == out and any(out.iterdir()):
+        raise DataError(f"cannot write the bundle to {out}: it is not empty")
     splits: SplitSet = load_corpus(manifest.corpus)
     index = filter_articles(splits)
     vectors = load_vector_table(manifest.vectors) if manifest.vectors else None
@@ -156,7 +155,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
                             "dropout": best.config.dropout},
             )
             test_ds = Dataset.build(
-                splits.test, index, best.model.max_tokens, manifest.vocab_buckets
+                splits.test, index, best.model.max_tokens, best.model.vocab_buckets
             )
             preds = predict_model(best.model, test_ds, index.articles)
             predictions[(arch, seed)] = preds
@@ -205,9 +204,17 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
         "significance": significance_rows,
     }
     (out / "run_log.json").write_text(
-        json.dumps(run_log, indent=2, sort_keys=True, default=list) + "\n", encoding="utf-8"
+        json.dumps(run_log, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return run_log
+
+
+def paired_test(
+    a: Predictions, b: Predictions, gold: LabelMatrix, cls: Outcome, resamples: int, seed: int
+) -> PermutationResult:
+    """Paired permutation test of two models' per-case scores on class cls."""
+    return permutation_test(per_case_scores(a, gold, cls), per_case_scores(b, gold, cls),
+                            resamples=resamples, seed=seed)
 
 
 def _significance_matrix(
@@ -221,12 +228,7 @@ def _significance_matrix(
             a = predictions[(arch_a, seed)]
             b = predictions[(arch_b, seed)]
             for cls in [c for c in a.classes() if c in b.classes()]:
-                result = permutation_test(
-                    per_case_scores(a, gold, cls),
-                    per_case_scores(b, gold, cls),
-                    resamples=manifest.resamples,
-                    seed=0,
-                )
+                result = paired_test(a, b, gold, cls, manifest.resamples, seed=0)
                 records.append(
                     {
                         "model_a": arch_a,

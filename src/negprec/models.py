@@ -40,7 +40,6 @@ from .errors import DataError, UsageError
 log = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 1
-ARCHITECTURES = ("simple", "mtl", "joint", "claim_outcome")
 
 # The one place a new model's shape defaults are written: build_model's
 # keywords and TrainConfig's fields both read them.
@@ -131,12 +130,21 @@ def _head_backward(dlogits, x, hidden_w, out_w, hid, width):
     return d_out, d_hidden, dx
 
 
-def _bce_neglogp(z: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """-log p(target) for a Bernoulli with logit z; stable for large |z|.
-
-    Written as a single logaddexp so an infinite logit yields exactly 0 or
+def _neglogp(z: np.ndarray, target: np.ndarray, width: int) -> np.ndarray:
+    """-log p(target) per cell: a Bernoulli for a width-1 head (target 0
+    or 1), a softmax over the last axis for width 3 (target an index). The
+    Bernoulli is one logaddexp, so an infinite logit yields exactly 0 or
     +inf (which the loss clamp then catches), never 0 * inf = NaN."""
-    return np.logaddexp(0.0, np.where(target > 0, -z, z))
+    if width == 1:
+        return np.logaddexp(0.0, np.where(target > 0, -z, z))
+    return -np.take_along_axis(log_softmax(z), target[..., None], axis=-1)[..., 0]
+
+
+def _dneglogp(z: np.ndarray, target: np.ndarray, width: int) -> np.ndarray:
+    """d _neglogp / d z."""
+    if width == 1:
+        return sigmoid(z) - target
+    return softmax(z) - np.eye(width, dtype=np.float64)[target]
 
 
 # --------------------------------------------------------------------------
@@ -148,8 +156,8 @@ class Model:
     """One forward and one backward pass for every architecture, driven by
     the class's heads table of (head, encoder, width): each head reads one
     encoder (heads may share one) into `width` logits per article.
-    Subclasses add the loss rule (loss_and_grads); forward reads each head
-    out through a sigmoid, which joint overrides with its softmax.
+    Subclasses give _loss their targets; forward reads each head out
+    through a sigmoid, which joint overrides with its softmax.
 
     params maps dotted names to float64 arrays and holds every weight, the
     hashed bag-of-words tables ("<encoder>.emb") included; every shape
@@ -180,6 +188,11 @@ class Model:
     @property
     def encoder_kind(self) -> str:
         return "hashed_bow" if self.vectors is None else self.vectors.kind
+
+    @property
+    def vocab_buckets(self) -> int:
+        """Embedding table rows, 0 without tables (compact while train() runs)."""
+        return next((len(p) for n, p in self.params.items() if n.endswith(".emb")), 0)
 
     def param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
@@ -253,20 +266,23 @@ class Model:
         z = self._logits(batch)
         return tuple(sigmoid(z[head]) for head, _, _ in self.heads)
 
-    def _sigmoid_loss(self, batch, dropout, rng, want_grads, targets):
-        """Summed binary cross-entropy of sigmoid heads, averaged over the
-        batch, and its gradients. targets maps each head to (target,
-        weight); a weight-0 cell adds no loss and no gradient, so its
-        logit may be anything, infinite included."""
+    def _loss(self, batch, dropout, rng, want_grads, targets):
+        """Summed -log p of each head's gold target (_neglogp), averaged
+        over the batch, and its gradients. targets maps each head to
+        (target, weight), the weight 1.0 or, on a width-1 head, per cell; a
+        weight-0 cell adds no loss and no gradient, so its logit may be
+        anything, infinite included."""
         cache: dict = {}
         z = self._logits(batch, dropout, rng, cache)
         b = max(len(batch.case_ids), 1)
-        neglogp = sum(self._clamp(np.where(w > 0, _bce_neglogp(z[h], t), 0.0))
-                      for h, (t, w) in targets.items())
-        loss = float(neglogp.sum() / b)
+        width = {head: n for head, _, n in self.heads}
+        terms = [self._clamp(np.where(w > 0, _neglogp(z[h], t, width[h]), 0.0))
+                 for h, (t, w) in targets.items()]
+        # Starting the sum from terms[0], not 0, keeps a -0.0 cell -0.0.
+        loss = float(sum(terms[1:], terms[0]).sum() / b)
         if not want_grads:
             return loss, None
-        dz = {h: ((sigmoid(z[h]) - t) * w) / b for h, (t, w) in targets.items()}
+        dz = {h: (_dneglogp(z[h], t, width[h]) * w) / b for h, (t, w) in targets.items()}
         return loss, self._backward(batch, cache, dz)
 
     def nll(self, batch) -> float:
@@ -291,7 +307,7 @@ class _TwoHeadModel(Model):
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         pos_t, neg_t, _ = _targets(batch)
         targets = {"pos": (pos_t, 1.0), "neg": (neg_t, 1.0)}
-        return self._sigmoid_loss(batch, dropout, rng, want_grads, targets)
+        return self._loss(batch, dropout, rng, want_grads, targets)
 
 
 class SimpleBaseline(_TwoHeadModel):
@@ -325,19 +341,8 @@ class JointModel(Model):
         return decide(self.forward(batch))
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
-        cache: dict = {}
-        logits = self._logits(batch, dropout, rng, cache)["joint"]
-        labels = np.asarray(batch.labels, dtype=np.int64)
-        b = max(len(batch.case_ids), 1)
-        logp = log_softmax(logits)
-        gold = np.take_along_axis(logp, labels[:, :, None], axis=2)[:, :, 0]
-        neglogp = self._clamp(-gold)
-        loss = float(neglogp.sum() / b)
-        if not want_grads:
-            return loss, None
-        onehot = np.eye(3, dtype=np.float64)[labels]
-        dlogits = (softmax(logits) - onehot) / b
-        return loss, self._backward(batch, cache, {"joint": dlogits})
+        targets = {"joint": (np.asarray(batch.labels, dtype=np.int64), 1.0)}
+        return self._loss(batch, dropout, rng, want_grads, targets)
 
 
 class ClaimOutcomeModel(Model):
@@ -360,19 +365,16 @@ class ClaimOutcomeModel(Model):
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         pos_t, _, claim_t = _targets(batch)
         targets = {"claim": (claim_t, 1.0), "outcome": (pos_t, claim_t)}
-        return self._sigmoid_loss(batch, dropout, rng, want_grads, targets)
+        return self._loss(batch, dropout, rng, want_grads, targets)
 
 
 # --------------------------------------------------------------------------
 # construction and checkpoints
 # --------------------------------------------------------------------------
 
-_MODEL_CLASSES = {
-    "simple": SimpleBaseline,
-    "mtl": MTLBaseline,
-    "joint": JointModel,
-    "claim_outcome": ClaimOutcomeModel,
-}
+_MODEL_CLASSES = {cls.arch: cls for cls in (SimpleBaseline, MTLBaseline, JointModel,
+                                              ClaimOutcomeModel)}
+ARCHITECTURES = tuple(_MODEL_CLASSES)
 
 
 def _encoder_names(cls: type[Model]) -> tuple[str, ...]:
@@ -448,7 +450,7 @@ def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = No
         "encoder_kind": model.encoder_kind,
         "dim": dim,
         "max_tokens": model.max_tokens,
-        "vocab_buckets": next((len(p) for n, p in model.params.items() if n.endswith(".emb")), 0),
+        "vocab_buckets": model.vocab_buckets,
     }
     if extra_meta:
         meta.update(extra_meta)

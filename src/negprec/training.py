@@ -288,8 +288,8 @@ def train(
         max_tokens=config.max_tokens,
         vectors=vectors,
     )
-    train_ds = Dataset.build(splits.train, index, model.max_tokens, config.vocab_buckets)
-    val_ds = Dataset.build(splits.validation, index, model.max_tokens, config.vocab_buckets)
+    train_ds = Dataset.build(splits.train, index, model.max_tokens, model.vocab_buckets)
+    val_ds = Dataset.build(splits.validation, index, model.max_tokens, model.vocab_buckets)
     if not len(val_ds):
         raise DataError("validation split is empty")
     # Train each embedding on the rows the training and validation tokens

@@ -16,7 +16,7 @@ import pytest
 
 from negprec.cli import main
 from negprec.corpus import load_corpus
-from negprec.errors import NumericError
+from negprec.errors import DataError, NumericError, UsageError
 from negprec.evaluation import read_predictions, read_report_csv
 
 GEN_CFG = """
@@ -398,6 +398,25 @@ class TestSignificance:
         assert_exits(capsys, argv, 2, "expected a JSON object")
 
 
+@pytest.fixture(scope="module")
+def bundle(tmp_path_factory):
+    """A run bundle over a corpus with 24 test cases, enough that its
+    permutation tests sample: (manifest, bundle directory)."""
+    root = tmp_path_factory.mktemp("bundle")
+    (root / "gen.cfg").write_text(GEN_CFG.replace("test_size = 8", "test_size = 24"),
+                                  encoding="utf-8")
+    assert run_cli("synth", "--out", str(root / "corpus"), "--config", str(root / "gen.cfg")) == 0
+    manifest = root / "manifest.cfg"
+    manifest.write_text(
+        f"corpus = {root / 'corpus'}\narchitectures = simple, joint\nlearning_rates = 0.01\n"
+        "dropouts = 0.0\nhiddens = 4\nmax_epochs = 2\ndim = 8\nvocab_buckets = 64\n"
+        "max_tokens = 48\nresamples = 200\nrandom_instantiations = 10\n",
+        encoding="utf-8",
+    )
+    assert run_cli("run", "--manifest", str(manifest), "--out", str(root / "out")) == 0
+    return manifest, root / "out"
+
+
 class TestRun:
     def test_full_bundle(self, pipeline, tmp_path, capsys):
         manifest = tmp_path / "manifest.cfg"
@@ -424,6 +443,43 @@ class TestRun:
         assert f"experiment bundle written to {out_dir} (2 runs)" in message
         assert (out_dir / "report.csv").is_file()
         assert (out_dir / "significance.csv").is_file()
+
+    def test_rerun_into_a_bundle_is_data_error(self, bundle, capsys):
+        # A second run would leave the first one's checkpoints and
+        # predictions beside its own; it is refused before any work.
+        manifest, out = bundle
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        argv = ["run", "--manifest", str(manifest), "--out", str(out)]
+        assert_exits(capsys, argv, 2, "is not empty")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_empty_out_is_accepted(self, pipeline, tmp_path, capsys):
+        manifest = tmp_path / "manifest.cfg"
+        manifest.write_text(
+            f"corpus = {pipeline / 'corpus'}\narchitectures = joint\nhiddens = 4\n"
+            "max_epochs = 1\nlearning_rates = 0.01\ndropouts = 0.0\ndim = 8\n"
+            "vocab_buckets = 64\nmax_tokens = 48\nresamples = 10\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "empty").mkdir()
+        assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path / "empty")]) == 0
+        assert (tmp_path / "empty" / "report.csv").is_file()
+
+    def test_significance_matches_the_bundle(self, bundle, capsys):
+        # The CLI and the bundle share one paired test: the same pair,
+        # class, seed and draws give the same sampled p-value.
+        manifest, out = bundle
+        corpus = manifest.parent / "corpus"
+        row = next(line.split(",") for line in (out / "significance.csv").read_text().splitlines()
+                   if line.startswith("simple,joint,0,neg,"))
+        argv = ["significance", "--corpus", str(corpus), "--cls", "neg",
+                "--a", str(out / "predictions" / "simple-seed0.jsonl"),
+                "--b", str(out / "predictions" / "joint-seed0.jsonl"),
+                "--seed", "0", "--resamples", "200"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert "sampled, 200 assignments" in printed
+        assert printed.startswith(f"class neg: p = {row[4]} ")
 
     def test_bad_manifest_is_usage_error(self, tmp_path, capsys):
         manifest = tmp_path / "manifest.cfg"
@@ -656,12 +712,18 @@ class TestOutputPaths:
 
 
 class TestNumericExitCode:
-    def test_numeric_errors_exit_three(self, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "kind,code,prefix",
+        [(UsageError, 1, "usage error"), (DataError, 2, "data error"),
+         (NumericError, 3, "numeric error")],
+        ids=["usage", "data", "numeric"],
+    )
+    def test_error_kind_exits_with_its_code(self, monkeypatch, capsys, kind, code, prefix):
         import negprec.cli as cli
 
         def explode(args):
-            raise NumericError("synthetic failure")
+            raise kind("synthetic failure")
 
         monkeypatch.setattr(cli, "cmd_stats", explode)
-        assert main(["stats", "--corpus", "anywhere"]) == 3
-        assert "numeric error: synthetic failure" in capsys.readouterr().err
+        assert main(["stats", "--corpus", "anywhere"]) == code
+        assert f"{prefix}: synthetic failure" in capsys.readouterr().err

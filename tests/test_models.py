@@ -21,6 +21,7 @@ from negprec.encoder import PrecomputedEncoder
 from negprec.errors import DataError
 from negprec.experiment import predict_model
 from negprec.models import (
+    _MODEL_CLASSES,
     ARCHITECTURES,
     build_model,
     decide,
@@ -365,20 +366,29 @@ class TestLossOracles:
         vectors = PrecomputedEncoder(
             table={c: np.ones(4) for c in case_ids}, dim=4
         )
-        model = build_model(
-            "claim_outcome", INDEX2, np.random.default_rng(7), dim=4, hidden=3,
-            vectors=vectors,
-        )
         batch = make_batch(np.full((2, 2), Outcome.NULL), case_ids=case_ids)
-        # Overflow the claim logits to +inf: certainty of a claim that is
-        # absent, i.e. probability exactly 0 at the gold label.
-        model.params["claim.hidden_w"][...] = 1e200
-        model.params["claim.out_w"][...] = 1e200
-        assert model.clamp_warnings == 0
-        loss = model.nll(batch)
-        assert math.isfinite(loss)
-        assert model.clamp_warnings == 4  # 2 cases x 2 articles
-        assert loss == pytest.approx(2 * -math.log(1e-12), rel=1e-12)
+        for arch in ("claim_outcome", "joint"):
+            model = build_model(
+                arch, INDEX2, np.random.default_rng(7), dim=4, hidden=3, vectors=vectors,
+            )
+            if arch == "claim_outcome":
+                # Overflow the claim logits to +inf: certainty of a claim
+                # that is absent, i.e. probability exactly 0 at the gold label.
+                model.params["claim.hidden_w"][...] = 1e200
+                model.params["claim.out_w"][...] = 1e200
+            else:
+                # Every hidden unit reads 4e200, so the gold NULL logit
+                # overflows to -inf while POS and NEG read 0.
+                model.params["joint.hidden_w"][...] = 1e200
+                model.params["joint.out_w"][...] = 0.0
+                model.params["joint.out_w"][:, Outcome.NULL] = -1e200
+                z = np.asarray(self.logits_for(model, batch, arch))
+                assert np.all(z[..., Outcome.NULL] == -math.inf)
+            assert model.clamp_warnings == 0
+            loss = model.nll(batch)
+            assert math.isfinite(loss), arch
+            assert model.clamp_warnings == 4, arch  # 2 cases x 2 articles
+            assert loss == pytest.approx(2 * -math.log(1e-12), rel=1e-12), arch
 
     def test_unclaimed_outcome_overflow_adds_no_loss_or_gradient(self):
         """An unclaimed cell gives the outcome head weight 0: even an
@@ -553,6 +563,7 @@ class TestBuildModel:
             assert emb.dtype == np.float64
             assert float(np.abs(emb).max()) <= 0.5
         assert model.encoder_kind == "hashed_bow"
+        assert model.vocab_buckets == 128
 
     def test_param_count_arithmetic(self):
         k, h, d, v = 2, 3, 5, 16
@@ -569,6 +580,12 @@ class TestBuildModel:
             assert model.param_count() == (
                 expected_heads[arch] + n_encoders[arch] * v * d
             ), arch
+
+    def test_architectures_are_the_classes_own(self):
+        assert ARCHITECTURES == ("simple", "mtl", "joint", "claim_outcome")
+        for arch, cls in _MODEL_CLASSES.items():
+            assert cls.arch == arch
+            assert build_model(arch, INDEX2, np.random.default_rng(0), vocab_buckets=8).arch == arch
 
     def test_same_seed_same_weights(self):
         a = build_model("joint", INDEX2, np.random.default_rng(5), vocab_buckets=32)
@@ -592,6 +609,7 @@ class TestCheckpoints:
         assert loaded.index.articles == (2, 6)
         assert loaded.checkpoint_meta["note"] == "round-trip"
         assert loaded.checkpoint_meta["hidden"] == 3
+        assert loaded.vocab_buckets == loaded.checkpoint_meta["vocab_buckets"] == 16
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         if arch in ("simple", "mtl"):
@@ -636,6 +654,7 @@ class TestCheckpoints:
             load_checkpoint(path)
         loaded = load_checkpoint(path, vectors=vectors)
         assert loaded.encoder_kind == "precomputed"
+        assert model.vocab_buckets == loaded.vocab_buckets == 0
 
     @staticmethod
     def rewrite(path, edit):
