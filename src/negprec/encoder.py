@@ -70,8 +70,6 @@ class PrecomputedEncoder:
     table: dict[str, np.ndarray]
     dim: int
 
-    kind = "precomputed"
-
     def encode_ids(self, case_ids: list[str]) -> np.ndarray:
         out = np.zeros((len(case_ids), self.dim), dtype=np.float64)
         for i, case_id in enumerate(case_ids):

@@ -53,7 +53,8 @@ log = logging.getLogger(__name__)
 class ExperimentManifest:
     """A ``negprec run`` manifest, checked in full on construction (every
     grid point included), so a bad one fails before any corpus is read. The
-    fields it shares with TrainConfig take TrainConfig's defaults."""
+    fields it shares with TrainConfig take TrainConfig's defaults; with
+    `vectors` set, dim, vocab_buckets and max_tokens are ignored, as there."""
 
     corpus: str
     corpus_name: str = "corpus"

@@ -187,7 +187,7 @@ class Model:
 
     @property
     def encoder_kind(self) -> str:
-        return "hashed_bow" if self.vectors is None else self.vectors.kind
+        return "hashed_bow" if self.vectors is None else "precomputed"
 
     @property
     def vocab_buckets(self) -> int:
@@ -546,6 +546,4 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     elif vectors.dim != dim:
         raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
                         f"the checkpoint expects {dim}")
-    model = cls(index, params, max_tokens, vectors)
-    model.checkpoint_meta = meta
-    return model
+    return cls(index, params, max_tokens, vectors)

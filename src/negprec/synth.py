@@ -168,15 +168,10 @@ def generate_corpus(config: GenConfig) -> SplitSet:
     """Generate the three splits. Bit-reproducible: the same config always
     yields byte-identical cases."""
     layout = vocab_layout(config)
-    sizes = {
-        "train": config.train_size,
-        "validation": config.validation_size,
-        "test": config.test_size,
-    }
     splits = SplitSet()
     for name in SPLIT_NAMES:
         cases = splits.split(name)
-        for position in range(sizes[name]):
+        for position in range(getattr(config, f"{name}_size")):
             cases.append(_generate_case(config, layout, name, position))
     return splits
 

@@ -7,9 +7,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,15 @@ class TestEntryPoints:
         )
         assert result.returncode == 0
         assert "negprec" in result.stdout
+
+    def test_module_runs_from_the_source_tree(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-m", "negprec", "--version"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 0
+        assert result.stdout == "negprec 0.1.0\n"
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
@@ -275,6 +286,14 @@ class TestEval:
         assert "usage error:" in err
         assert "Traceback" not in err
 
+    def test_empty_split_is_data_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline / "corpus", corpus)
+        (corpus / "validation.jsonl").write_text("", encoding="utf-8")
+        argv = ["eval", "--ckpt", str(pipeline / "joint.npz"), "--corpus", str(corpus),
+                "--split", "validation"]
+        assert_exits(capsys, argv, 2, "split 'validation' is empty")
+
     def test_missing_checkpoint_is_data_error(self, pipeline, capsys):
         code = main([
             "eval", "--ckpt", str(pipeline / "absent.npz"),
@@ -385,6 +404,16 @@ class TestSignificance:
             flag, value,
         ]
         assert_exits(capsys, argv, 1, message)
+
+    def test_case_missing_from_split_is_data_error(
+        self, pipeline, prediction_files, capsys
+    ):
+        # The prediction files cover the test split.
+        argv = [
+            "significance", "--corpus", str(pipeline / "corpus"), "--split", "validation",
+            "--a", str(prediction_files["joint"]), "--b", str(prediction_files["simple"]),
+        ]
+        assert_exits(capsys, argv, 2, "cases missing from validation: ['synth-test-00000'")
 
     def test_non_object_prediction_line_is_data_error(
         self, pipeline, prediction_files, tmp_path, capsys
@@ -580,8 +609,15 @@ class TestExtract:
              "violations.json: malformed JSON"),
             (['{"case_id": "a", "facts": "f", "judgment": "j"}'] * 2, None,
              "batch.jsonl:2: duplicate case_id 'a'"),
+            (['{"case_id": "a", "facts": "f", "judgment": "j"}'], "[6]",
+             "violations.json must hold a JSON object"),
+            (['{"case_id": "", "facts": "f", "judgment": "j"}'], None,
+             "batch.jsonl:1: case_id must be a non-empty string"),
+            (['{"case_id": 7, "facts": "f", "judgment": "j"}'], None,
+             "batch.jsonl:1: case_id must be a non-empty string"),
         ],
-        ids=["non-object", "bad-violated", "bad-violations-file", "repeated-case-id"],
+        ids=["non-object", "bad-violated", "bad-violations-file", "repeated-case-id",
+             "non-object-violations-file", "empty-case-id", "non-string-case-id"],
     )
     def test_bad_input_is_data_error(self, tmp_path, lines, violations, message, capsys):
         raw = tmp_path / "raw"
@@ -592,6 +628,15 @@ class TestExtract:
             (tmp_path / "violations.json").write_text(violations, encoding="utf-8")
             argv += ["--violations", str(tmp_path / "violations.json")]
         assert_exits(capsys, argv, 2, message)
+        assert not (tmp_path / "corpus").exists()
+
+    def test_missing_violations_file_is_data_error(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "batch.jsonl").write_text('{"case_id": "a", "facts": "f", "judgment": "j"}\n')
+        argv = ["extract", "--raw", str(raw), "--out", str(tmp_path / "corpus"),
+                "--violations", str(tmp_path / "absent.json")]
+        assert_exits(capsys, argv, 2, "violations file not found")
         assert not (tmp_path / "corpus").exists()
 
     def test_non_utf8_pattern_file_is_data_error(self, tmp_path, capsys):

@@ -169,6 +169,21 @@ class TestParseCase:
         with pytest.raises(DataError, match=missing):
             parse_case(record)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("case_id", "", "case_id must be a non-empty string"),
+            ("case_id", 7, "case_id must be a non-empty string"),
+            ("facts", ["f"], "facts must be a string"),
+        ],
+        ids=["empty-case-id", "non-string-case-id", "non-string-facts"],
+    )
+    def test_bad_field_value(self, field, value, message):
+        record = {"case_id": "c", "facts": "f", "claims": [2], "violated": []}
+        record[field] = value
+        with pytest.raises(DataError, match=f"line 3: {message}"):
+            parse_case(record, "line 3")
+
     def test_claims_must_be_integer_list(self):
         with pytest.raises(DataError):
             parse_case({"case_id": "c", "facts": "f", "claims": "2", "violated": []})
@@ -205,6 +220,22 @@ class TestCorpusIO:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_corpus(tmp_path / "nowhere")
+
+    def test_non_core_ids_dropped_with_one_warning(self, tiny_splits, tmp_path, caplog):
+        root = tmp_path / "corpus"
+        save_corpus(tiny_splits, root)
+        record = {"case_id": "x", "facts": "f", "claims": [1, 2, 40], "violated": [40]}
+        with (root / "train.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(record) + "\n")
+        loaded = load_corpus(root)
+        assert loaded.train[-1].claims == frozenset({2})
+        assert loaded.train[-1].violated == frozenset()
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == ["train.jsonl: dropped 3 non-core article ids"]
+
+    def test_unknown_split_name(self, tiny_splits):
+        with pytest.raises(DataError, match="unknown split 'x'"):
+            tiny_splits.split("x")
 
     def test_duplicate_case_id_reports_line(self, tmp_path):
         root = tmp_path / "corpus"

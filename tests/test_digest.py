@@ -25,8 +25,11 @@ def test_two_builds_of_one_tree_agree():
     assert commands == {"synth", "stats", "train", "eval", "significance", "extract", "run"}
     for path in ("bundle/report.csv", "bundle_vectors/report.csv", "extracted/test.jsonl",
                  "reports/joint-vec-articles.csv", "logs/claim_outcome.json",
-                 "stdout/significance-exhaustive-neg.txt", "stats/b.json"):
+                 "stdout/significance-exhaustive-neg.txt", "stats/b.json",
+                 "stdout/significance-validation.txt", "preds/simple-validation.jsonl"):
         assert path in first
+    # The pattern file drops claims the default patterns find.
+    assert first["extracted_patterns/validation.jsonl"] != first["extracted/validation.jsonl"]
     changed = {**first, "bundle/report.csv": "0" * 64}
     del changed["stats/b.json"]
     assert digest.compare(first, changed, "REV") == [

@@ -57,6 +57,11 @@ class TestTokenize:
         assert tokenize("", 512, 64).size == 0
         assert tokenize("...---...", 512, 64).size == 0
 
+    @pytest.mark.parametrize("max_tokens, buckets", [(0, 8), (8, 0)])
+    def test_non_positive_shape_is_data_error(self, max_tokens, buckets):
+        with pytest.raises(DataError, match="must be positive"):
+            tokenize("the court", max_tokens, buckets)
+
     @given(st.text(max_size=200), st.integers(2, 1 << 15))
     def test_ids_always_in_range(self, text, buckets):
         ids = tokenize(text, 512, buckets)
@@ -153,7 +158,6 @@ class TestPrecomputedEncoder:
         enc = self.make()
         out = enc.encode_ids(["b", "a", "b"])
         assert out.tolist() == [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
-        assert enc.kind == "precomputed"
 
     def test_missing_case_id(self):
         with pytest.raises(DataError, match="no precomputed vector"):
@@ -203,6 +207,12 @@ class TestLoadVectorTable:
         with pytest.raises(DataError, match="not found"):
             load_vector_table(tmp_path / "none.jsonl")
 
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("\n")
+        with pytest.raises(DataError, match=r"vector file .*vectors\.jsonl is empty"):
+            load_vector_table(path)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"case_id": "a", "vector": [1.0]}\n{oops\n')
@@ -215,8 +225,12 @@ class TestLoadVectorTable:
             (b"[1, 2]", r"vectors\.jsonl:2: expected a JSON object"),
             (b'"text"', r"vectors\.jsonl:2: expected a JSON object"),
             (b'{"case_id": "\xff", "vector": [1.0]}', r"vectors\.jsonl: not UTF-8"),
+            (b'{"case_id": 7, "vector": [1.0]}',
+             r"vectors\.jsonl:2: need case_id string and vector list"),
+            (b'{"case_id": "b", "vector": "1.0"}',
+             r"vectors\.jsonl:2: need case_id string and vector list"),
         ],
-        ids=["list", "string", "non-utf8"],
+        ids=["list", "string", "non-utf8", "non-string-case-id", "non-list-vector"],
     )
     def test_bad_line_is_data_error(self, tmp_path, line, match):
         path = tmp_path / "vectors.jsonl"

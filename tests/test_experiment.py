@@ -315,7 +315,7 @@ class TestRunExperiment:
         ]
         model = load_checkpoint(tmp_path / "run" / "checkpoints" / "joint-seed0.npz",
                                 vectors=load_vector_table(vectors))
-        assert model.checkpoint_meta["dim"] == 3
+        assert model.params["joint.hidden_w"].shape[2] == 3
 
     def test_run_tokenizes_each_case_once(self, tmp_path, monkeypatch):
         # Every model of a run shares max_tokens and vocab_buckets, so its

@@ -423,21 +423,36 @@ class TestLossOracles:
 
 
 class _CorruptedGradients:
-    """Wrapper that poisons one gradient array, for detector calibration."""
+    """Wrapper that poisons one gradient array, or only its flat coordinate
+    `coord`, for detector calibration."""
 
-    def __init__(self, model, name):
+    def __init__(self, model, name, coord=None):
         self._model = model
         self._name = name
+        self._coord = coord
         self.params = model.params
 
     def loss_and_grads(self, batch, dropout=0.0, rng=None, want_grads=True):
         loss, grads = self._model.loss_and_grads(batch, dropout, rng, want_grads)
         if grads is not None:
-            grads[self._name] = grads[self._name] + 1.0
+            grad = grads[self._name] = grads[self._name].copy()
+            if self._coord is None:
+                grad += 1.0
+            else:
+                grad.flat[self._coord] += 1.0
         return loss, grads
 
     def nll(self, batch):
         return self._model.nll(batch)
+
+
+def _bow_model_64(arch):
+    """A model with 64-bucket tables (368 to 712 parameters) and a batch of
+    six cases."""
+    rng = np.random.default_rng(23)
+    model = build_model(arch, INDEX2, rng, dim=5, hidden=3, vocab_buckets=64, max_tokens=8)
+    tokens = [rng.integers(0, 64, size=rng.integers(1, 8)) for _ in range(6)]
+    return model, make_batch(rng.integers(0, 3, size=(6, 2)), tokens=tokens)
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -451,6 +466,31 @@ class TestGradients:
         name = sorted(model.params)[0]
         worst = gradient_check(_CorruptedGradients(model, name), batch)
         assert worst > 1e-2
+
+    def test_one_corrupted_coordinate_detected(self, arch):
+        # A 200-coordinate sampler (seed 0), which gradient_check used before
+        # it probed every coordinate, never reached these coordinates at this
+        # shape; running it on each model found them. Each lies in an
+        # embedding row the batch reads.
+        coord = {"simple": ("neg_enc.emb", 0), "mtl": ("enc.emb", 15),
+                 "joint": ("enc.emb", 40), "claim_outcome": ("claim_enc.emb", 0)}[arch]
+        model, batch = _bow_model_64(arch)
+        assert coord[1] // 5 in np.concatenate(batch.tokens)
+        assert gradient_check(model, batch) < 1e-6
+        assert gradient_check(_CorruptedGradients(model, *coord), batch) > 1e-2
+
+    def test_every_coordinate_is_probed(self, arch):
+        model, batch = _bow_model_64(arch)
+        calls = []
+        nll = model.nll
+
+        def counting_nll(b):
+            calls.append(b)
+            return nll(b)
+
+        model.nll = counting_nll
+        gradient_check(model, batch)
+        assert len(calls) == 2 * model.param_count()
 
     def test_bow_embedding_gradients(self, arch):
         rng = np.random.default_rng(23)
@@ -554,6 +594,18 @@ class TestBuildModel:
         with pytest.raises(DataError, match="unknown architecture"):
             build_model("mlp", INDEX2, np.random.default_rng(0))
 
+    def test_negative_shape_reraises_numpy_error(self):
+        # Only numpy's "array is too big" becomes a UsageError; any other
+        # ValueError from the draw is not a memory fault and passes through.
+        # (The bound 1/sqrt(-1) is NaN before the draw fails.)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="negative dimensions"):
+            build_model("mtl", INDEX2, np.random.default_rng(0), hidden=-1, vocab_buckets=8)
+
+    def test_dropout_needs_a_generator(self):
+        model, batch = random_vector_model("mtl", n_cases=2, seed=0)
+        with pytest.raises(ValueError, match="dropout requires a random generator"):
+            model.loss_and_grads(batch, dropout=0.5, rng=None)
+
     def test_embedding_shape_dtype_and_bounds(self):
         model = build_model("simple", INDEX2, np.random.default_rng(0),
                             dim=16, hidden=2, vocab_buckets=128)
@@ -594,6 +646,13 @@ class TestBuildModel:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
 
+def _edit_meta(arrays, **changes):
+    """Update a checkpoint's metadata entry in its arrays."""
+    meta = json.loads(str(arrays["_meta"]))
+    meta.update(changes)
+    arrays["_meta"] = np.asarray(json.dumps(meta))
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_round_trip_preserves_predictions(self, arch, tmp_path):
@@ -607,9 +666,11 @@ class TestCheckpoints:
         loaded = load_checkpoint(path)
         assert loaded.arch == arch
         assert loaded.index.articles == (2, 6)
-        assert loaded.checkpoint_meta["note"] == "round-trip"
-        assert loaded.checkpoint_meta["hidden"] == 3
-        assert loaded.vocab_buckets == loaded.checkpoint_meta["vocab_buckets"] == 16
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["_meta"]))
+        assert meta["note"] == "round-trip"
+        assert meta["hidden"] == 3
+        assert loaded.vocab_buckets == meta["vocab_buckets"] == 16
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
         if arch in ("simple", "mtl"):
@@ -673,8 +734,16 @@ class TestCheckpoints:
              r"enc.emb has shape \(7, 4\), expected \(8, 4\)"),
             ("joint", lambda a: a.update({"extra.w": np.zeros(3)}),
              "unexpected arrays extra.w"),
+            ("mtl", lambda a: a.update({"_meta": np.asarray("{not json")}),
+             "checkpoint metadata is not JSON"),
+            ("mtl", lambda a: a.update({"_meta": np.asarray("[1, 2]")}),
+             "checkpoint metadata is not a JSON object"),
+            ("simple", lambda a: _edit_meta(a, arch="mlp"), "unknown architecture 'mlp'"),
+            ("simple", lambda a: _edit_meta(a, encoder_kind="bert"),
+             "unknown encoder kind 'bert'"),
         ],
-        ids=["missing_head", "wrong_shape", "extra_array"],
+        ids=["missing_head", "wrong_shape", "extra_array", "meta_not_json",
+             "meta_not_object", "unknown_arch", "unknown_encoder_kind"],
     )
     def test_contents_checked_against_metadata(self, arch, edit, message, tmp_path):
         model = build_model(arch, INDEX2, np.random.default_rng(0), dim=4, hidden=3,

@@ -23,7 +23,7 @@ from negprec.corpus import ArticleIndex, Outcome, filter_articles
 from negprec.encoder import PrecomputedEncoder, tokenize
 from negprec.errors import DataError, NumericError, UsageError
 from negprec.experiment import ExperimentManifest
-from negprec.models import ARCHITECTURES, build_model
+from negprec.models import ARCHITECTURES, MTLBaseline, build_model
 from negprec.synth import GenConfig, generate_corpus
 from negprec.training import (
     DESK_GRID,
@@ -568,6 +568,13 @@ class TestTrain:
         with pytest.raises(DataError, match="training split"):
             train("joint", fast_config(), tiny_splits)
 
+    def test_empty_validation_split(self, tiny_splits):
+        # Given an index, train() does not read the validation claims to
+        # pick articles, so the empty split is caught by its own check.
+        tiny_splits.validation.clear()
+        with pytest.raises(DataError, match="validation split is empty"):
+            train("joint", fast_config(), tiny_splits, index=ArticleIndex((2, 6, 8)))
+
 
 class TestGrid:
     def test_grid_iteration_order_and_size(self):
@@ -612,6 +619,29 @@ class TestGrid:
         assert [row["status"] for row in summary] == ["ok", "diverged"]
         assert summary[1]["val_loss"] is None
         assert best.config.learning_rate == 3e-4
+
+    @pytest.mark.parametrize("phase", ["training", "validation"])
+    def test_non_finite_loss_is_a_diverged_grid_point(self, monkeypatch, phase):
+        # A NaN loss of the given phase, at hidden 6 only: train() raises a
+        # NumericError there, and grid_search records the point as diverged.
+        real = MTLBaseline.loss_and_grads
+
+        def nan_loss(self, batch, dropout=0.0, rng=None, want_grads=True):
+            loss, grads = real(self, batch, dropout, rng, want_grads)
+            # Training asks for gradients; the validation loss (nll) does not.
+            if self.params["pos.out_w"].shape[1] == 6 and want_grads == (phase == "training"):
+                loss = math.nan
+            return loss, grads
+
+        monkeypatch.setattr(MTLBaseline, "loss_and_grads", nan_loss)
+        splits = small_corpus()
+        with pytest.raises(NumericError, match=f"mtl: non-finite {phase} loss at epoch 1"):
+            train("mtl", fast_config(hidden=6), splits)
+        grid = GridSpec(learning_rates=(3e-4,), dropouts=(0.2,), hiddens=(4, 6))
+        best, summary = grid_search("mtl", splits, grid=grid,
+                                    base_config=fast_config(max_epochs=1))
+        assert [row["status"] for row in summary] == ["ok", "diverged"]
+        assert best.config.hidden == 4
 
     def test_all_diverged_is_an_error(self, monkeypatch):
         import negprec.training as training_mod

@@ -48,6 +48,9 @@ RAW_DOCS = [
      "split": "test"},
     {"case_id": "d", "facts": "f d", "split": "train"},
 ]
+# Matches only "complained under Article N", so extract --patterns keeps
+# fewer claims than the default set.
+PATTERNS = "# complaints only\n" + r"complain\w*\s+under\s+articles?\s+(\d{1,2})\b" + "\n"
 
 
 def write_inputs(work: Path) -> None:
@@ -62,6 +65,7 @@ def write_inputs(work: Path) -> None:
     (work / "raw" / "docs.jsonl").write_text(
         "".join(json.dumps(doc) + "\n" for doc in RAW_DOCS), encoding="utf-8")
     (work / "violations.json").write_text('{"a": [8], "c": [6]}\n', encoding="utf-8")
+    (work / "patterns.txt").write_text(PATTERNS, encoding="utf-8")
 
 
 def write_vectors(work: Path) -> None:
@@ -83,6 +87,7 @@ def steps(work: Path):
     earlier one wrote, so this is consumed as the commands run."""
     yield "synth-a", ["synth", "--out", "a", "--config", "gen_a.cfg"]
     yield "synth-b", ["synth", "--out", "b", "--config", "gen_b.cfg"]
+    yield "synth-a-seed", ["synth", "--out", "a_seed", "--config", "gen_a.cfg", "--seed", "5"]
     yield "stats-a", ["stats", "--corpus", "a", "--json", "stats/a.json"]
     yield "stats-b", ["stats", "--corpus", "b", "--json", "stats/b.json"]
     write_vectors(work)
@@ -98,6 +103,12 @@ def steps(work: Path):
                                   "--preds", f"preds/{tag}.jsonl"]
             yield f"eval-{tag}-articles", [*ev, "--articles", some,
                                            "--report", f"reports/{tag}-articles.csv"]
+    yield "train-simple-seed", ["train", "--arch", "simple", "--corpus", "a", "--config",
+                                "train.cfg", "--seed", "2", "--out", "ckpt/simple-seed.npz"]
+    for arch in ("simple", "claim_outcome"):
+        yield f"eval-{arch}-validation", ["eval", "--ckpt", f"ckpt/{arch}.npz", "--corpus", "a",
+                                          "--split", "validation",
+                                          "--preds", f"preds/{arch}-validation.jsonl"]
     for arch in ("simple", "claim_outcome"):
         yield f"train-b-{arch}", ["train", "--arch", arch, "--corpus", "b", "--config",
                                   "train.cfg", "--out", f"ckpt/b-{arch}.npz"]
@@ -110,8 +121,14 @@ def steps(work: Path):
         yield f"significance-exhaustive-{cls}", [
             "significance", "--corpus", "b", "--a", "preds/b-simple.jsonl",
             "--b", "preds/b-claim_outcome.jsonl", "--cls", cls]
+    yield "significance-validation", [
+        "significance", "--corpus", "a", "--split", "validation", "--a",
+        "preds/simple-validation.jsonl", "--b", "preds/claim_outcome-validation.jsonl",
+        "--resamples", "2000", "--seed", "3"]
     yield "extract", ["extract", "--raw", "raw", "--out", "extracted",
                       "--violations", "violations.json"]
+    yield "extract-patterns", ["extract", "--raw", "raw", "--out", "extracted_patterns",
+                               "--patterns", "patterns.txt"]
     yield "run", ["run", "--manifest", "run.cfg", "--out", "bundle"]
     yield "run-vectors", ["run", "--manifest", "run_vectors.cfg", "--out", "bundle_vectors"]
 
