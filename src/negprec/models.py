@@ -23,6 +23,8 @@ coordinate-by-coordinate against finite differences.
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import json
 import logging
 import zipfile
@@ -34,10 +36,32 @@ import numpy as np
 # call, so a wrapper installed on the module sees every call.
 from . import encoder
 from .corpus import ArticleIndex, Outcome
-from .encoder import PrecomputedEncoder
+from .encoder import Bag, PrecomputedEncoder
 from .errors import DataError, UsageError
 
 log = logging.getLogger(__name__)
+
+
+def _pin_blas_threads() -> None:
+    """Hold the OpenBLAS bundled with NumPy to one thread. Its products
+    (the bag-of-words encode and backward, the hidden layers) round
+    differently at 1 and 2 threads, and reruns must be byte-identical on
+    any machine. It runs through ctypes, so it holds whenever NumPy was
+    imported; another BLAS build is the caller's to hold to one thread."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "*openblas*.so*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                       "openblas_set_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = [ctypes.c_int]
+                fn.restype = None
+                fn(1)
+                return
+
+
+_pin_blas_threads()
 
 CHECKPOINT_VERSION = 1
 
@@ -111,9 +135,11 @@ _OUT_SUBSCRIPTS = {1: ("kh", "bk"), 3: ("koh", "bko")}
 
 def _head_forward(hidden_w, out_w, x, width):
     """Per-article hidden ReLU layer, then the output layer. Returns the
-    hidden activation and the logits."""
+    hidden activation and the logits. The hidden layer is one matmul over
+    every article's rows of hidden_w, (K*H, D)."""
     w, z = _OUT_SUBSCRIPTS[width]
-    hid = np.einsum("khd,bd->bkh", hidden_w, x)
+    k, h, d = hidden_w.shape
+    hid = (x @ hidden_w.reshape(k * h, d).T).reshape(len(x), k, h)
     np.maximum(hid, 0.0, out=hid)
     return hid, np.einsum(f"{w},bkh->{z}", out_w, hid)
 
@@ -125,8 +151,10 @@ def _head_backward(dlogits, x, hidden_w, out_w, hid, width):
     d_out = np.einsum(f"{z},bkh->{w}", dlogits, hid)
     dpre = np.einsum(f"{w},{z}->bkh", out_w, dlogits)
     dpre *= hid > 0
-    d_hidden = np.einsum("bkh,bd->khd", dpre, x)
-    dx = np.einsum("bkh,khd->bd", dpre, hidden_w)
+    k, h, d = hidden_w.shape
+    dpre = dpre.reshape(len(x), k * h)
+    d_hidden = (dpre.T @ x).reshape(k, h, d)
+    dx = dpre @ hidden_w.reshape(k * h, d)
     return d_out, d_hidden, dx
 
 
@@ -197,10 +225,10 @@ class Model:
     def param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
 
-    def _encode(self, batch, name: str) -> np.ndarray:
-        if self.vectors is not None:
+    def _encode(self, batch, bag: Bag | None, name: str) -> np.ndarray:
+        if bag is None:
             return self.vectors.encode_ids(batch.case_ids)
-        return encoder.bow_encode(batch.tokens, self.params[f"{name}.emb"])
+        return encoder.bow_encode(bag, self.params[f"{name}.emb"])
 
     def _dropout(self, x, rate, rng):
         if rate <= 0.0:
@@ -223,9 +251,12 @@ class Model:
 
     def _logits(self, batch, dropout=0.0, rng=None, cache=None) -> dict[str, np.ndarray]:
         """{head: logits}. Each encoder is encoded and dropped out once, in
-        declaration order, which fixes the order of the dropout draws."""
+        declaration order, which fixes the order of the dropout draws. The
+        batch's Bag is built once and shared by every encoder and, through
+        the cache, the backward pass."""
         cache = {} if cache is None else cache
-        xs = cache["x"] = {name: self._dropout(self._encode(batch, name), dropout, rng)
+        bag = cache["bag"] = Bag.of(batch.tokens) if self.vectors is None else None
+        xs = cache["x"] = {name: self._dropout(self._encode(batch, bag, name), dropout, rng)
                            for name in _encoder_names(type(self))}
         logits = {}
         for head, enc, width in self.heads:
@@ -234,7 +265,7 @@ class Model:
             )
         return logits
 
-    def _backward(self, batch, cache, dlogits: dict[str, np.ndarray]) -> dict:
+    def _backward(self, cache, dlogits: dict[str, np.ndarray]) -> dict:
         """Gradients of every parameter from {head: d loss / d logits}.
 
         Heads that read the same encoder add their dx before its dropout
@@ -255,7 +286,7 @@ class Model:
                 mask = cache["x"][enc][1]
                 emb = self.params[f"{enc}.emb"]
                 grads[f"{enc}.emb"] = encoder.bow_backward(
-                    batch.tokens, dx if mask is None else dx * mask, len(emb)
+                    cache["bag"], dx if mask is None else dx * mask, len(emb)
                 )
         return grads
 
@@ -283,7 +314,7 @@ class Model:
         if not want_grads:
             return loss, None
         dz = {h: (_dneglogp(z[h], t, width[h]) * w) / b for h, (t, w) in targets.items()}
-        return loss, self._backward(batch, cache, dz)
+        return loss, self._backward(cache, dz)
 
     def nll(self, batch) -> float:
         loss, _ = self.loss_and_grads(batch, dropout=0.0, rng=None, want_grads=False)
@@ -417,12 +448,18 @@ def build_model(
     order, so a seed pins every weight. The vector table decides the
     encoder: given `vectors`, the model reads them, takes its dim from them
     and has no embedding tables (vocab_buckets and max_tokens are unused);
-    without, it trains hashed bag-of-words tables. A shape too large for
-    memory is a UsageError."""
+    without, it trains hashed bag-of-words tables. A shape below 1, or too
+    large for memory, is a UsageError."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
     if vectors is not None:
         dim, max_tokens = vectors.dim, 0
+    shape = {"hidden": hidden, "dim": dim}
+    if vectors is None:
+        shape["vocab_buckets"] = vocab_buckets
+    for name, value in shape.items():
+        if value < 1:
+            raise UsageError(f"{name} must be >= 1, got {value}")
     cls = _MODEL_CLASSES[arch]
     table = _param_table(cls, len(index), hidden, dim, vocab_buckets, vectors is None)
     params = {}

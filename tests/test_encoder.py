@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from negprec.encoder import (
+    Bag,
     PrecomputedEncoder,
     bow_backward,
     bow_encode,
@@ -74,31 +75,51 @@ class TestBowEncode:
     def test_mean_pooling_by_hand(self):
         emb = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         ids = [np.array([0, 2]), np.array([1])]
-        out = bow_encode(ids, emb)
+        out = bow_encode(Bag.of(ids), emb)
         assert out.tolist() == [[3.0, 4.0], [3.0, 4.0]]
 
     def test_repeated_token_weights_the_mean(self):
         emb = np.array([[0.0, 0.0], [3.0, 3.0]])
-        out = bow_encode([np.array([1, 1, 0])], emb)
+        out = bow_encode(Bag.of([np.array([1, 1, 0])]), emb)
         assert out.tolist() == [[2.0, 2.0]]
 
     def test_empty_token_list_is_zero_vector(self):
         emb = np.ones((4, 3))
-        out = bow_encode([np.array([], dtype=np.int64)], emb)
+        out = bow_encode(Bag.of([np.array([], dtype=np.int64)]), emb)
         assert out.tolist() == [[0.0, 0.0, 0.0]]
 
     @staticmethod
     def loop_oracle(ids, dx, n_rows):
+        """The gradient as one term dx[case] / len(case) per token, added
+        in order; also, per row, the number of terms and, per element, the
+        sum of their magnitudes."""
         oracle = np.zeros((n_rows, dx.shape[1]))
+        n_terms = np.zeros(n_rows, dtype=np.int64)
+        magnitude = np.zeros_like(oracle)
         for row, case_ids in enumerate(ids):
             for token in case_ids:
-                oracle[token] += dx[row] / len(case_ids)
-        return oracle
+                term = dx[row] / len(case_ids)
+                oracle[token] += term
+                n_terms[token] += 1
+                magnitude[token] += np.abs(term)
+        return oracle, n_terms, magnitude
 
     def check_against_oracle(self, ids, dx, n_rows):
-        grad = bow_backward(ids, dx, n_rows)
+        """Element by element, |grad - oracle| <= gamma_k * sum |terms|
+        (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), with
+        gamma_k = k u / (1 - k u) and u = 2^-53. For a row of m terms the
+        oracle rounds each element at most m times (a division per term,
+        then the sum), and the averaging-matrix product at most m + 1 times
+        (the weight, the product, its sum over cases, the merge of slices),
+        whatever order BLAS adds in; k = 2m + 2 also covers the rounding of
+        the magnitudes' own sum. A row with no term must be exactly 0."""
+        grad = bow_backward(Bag.of(ids), dx, n_rows)
         assert grad.shape == (n_rows, dx.shape[1]) and grad.dtype == np.float64
-        assert grad.tobytes() == self.loop_oracle(ids, dx, n_rows).tobytes()
+        oracle, n_terms, magnitude = self.loop_oracle(ids, dx, n_rows)
+        k = (2 * n_terms + 2)[:, None]
+        u = 2.0 ** -53
+        assert (np.abs(grad - oracle) <= k * u / (1 - k * u) * magnitude).all()
+        assert not grad[n_terms == 0].any()
         return grad
 
     def test_backward_matches_loop_oracle(self):
@@ -129,17 +150,39 @@ class TestBowEncode:
         untouched = np.setdiff1d(np.arange(1000), np.concatenate(ids))
         assert not grad[untouched].any()
 
+    def test_batch_of_three_slices(self):
+        # 150 cases make slices of 64, 64 and 22; row 7 is in every slice,
+        # so its gradient is merged across all three.
+        rng = np.random.default_rng(4)
+        ids = [np.append(rng.integers(0, 300, size=rng.integers(0, 60)), 7) if i % 50 == 0
+               else rng.integers(0, 300, size=rng.integers(0, 60)) for i in range(150)]
+        bag = Bag.of(ids)
+        assert [(s.start, s.stop) for s, _, _ in bag.slices] == [(0, 64), (64, 128), (128, 150)]
+        assert all(7 in rows for _, rows, _ in bag.slices)
+        dx = rng.normal(size=(150, 4))
+        self.check_against_oracle(ids, dx, 300)
+        # The encode against each case's mean, by the same kind of bound: n
+        # roundings in the mean of n rows, n + 1 in the product.
+        emb = rng.normal(size=(300, 4))
+        out = bow_encode(bag, emb)
+        for case, case_ids in zip(out, ids):
+            n = len(case_ids)
+            k, u = 2 * n + 2, 2.0 ** -53
+            bound = k * u / (1 - k * u) * np.abs(emb[case_ids]).sum(axis=0) / max(n, 1)
+            want = emb[case_ids].mean(axis=0) if n else 0.0
+            assert (np.abs(case - want) <= bound).all()
+
     def test_backward_is_gradient_of_encode(self):
         # Finite differences on a scalar function of the pooled vectors.
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(6, 4))
-        ids = [np.array([0, 2, 2]), np.array([5])]
+        bag = Bag.of([np.array([0, 2, 2]), np.array([5])])
         weights = rng.normal(size=(2, 4))
 
         def value(e):
-            return float((bow_encode(ids, e) * weights).sum())
+            return float((bow_encode(bag, e) * weights).sum())
 
-        grad = bow_backward(ids, weights, 6)
+        grad = bow_backward(bag, weights, 6)
         eps = 1e-6
         for i in (0, 2, 5):
             for j in range(4):

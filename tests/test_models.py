@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from negprec.corpus import ArticleIndex, Outcome
 from negprec.encoder import PrecomputedEncoder
-from negprec.errors import DataError
+from negprec.errors import DataError, UsageError
 from negprec.experiment import predict_model
 from negprec.models import (
     _MODEL_CLASSES,
@@ -594,12 +594,21 @@ class TestBuildModel:
         with pytest.raises(DataError, match="unknown architecture"):
             build_model("mlp", INDEX2, np.random.default_rng(0))
 
-    def test_negative_shape_reraises_numpy_error(self):
-        # Only numpy's "array is too big" becomes a UsageError; any other
-        # ValueError from the draw is not a memory fault and passes through.
-        # (The bound 1/sqrt(-1) is NaN before the draw fails.)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="negative dimensions"):
-            build_model("mtl", INDEX2, np.random.default_rng(0), hidden=-1, vocab_buckets=8)
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["hidden", "dim", "vocab_buckets"])
+    def test_non_positive_shape_is_usage_error(self, name, value):
+        # Checked before any draw: the generator is left untouched.
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(UsageError, match=f"{name} must be >= 1, got {value}"):
+            build_model("mtl", INDEX2, rng, **{"vocab_buckets": 8, name: value})
+        assert rng.bit_generator.state == state
+
+    def test_vector_table_needs_no_bucket_count(self):
+        vectors = PrecomputedEncoder(table={"a": np.zeros(4)}, dim=4)
+        model = build_model("mtl", INDEX2, np.random.default_rng(0), vocab_buckets=0,
+                            vectors=vectors)
+        assert model.vocab_buckets == 0
 
     def test_dropout_needs_a_generator(self):
         model, batch = random_vector_model("mtl", n_cases=2, seed=0)

@@ -128,23 +128,49 @@ def assert_trains_like_oracle(arch, config, splits, vectors=None):
 
 # Trains every architecture on a small corpus at batch 64 and hidden 50,
 # shapes where NumPy's bundled OpenBLAS gave different bytes for the head
-# products at 1 and 2 threads, and prints the SHA-256 of the trained
-# parameters and of the per-epoch logs.
+# and bag-of-words products at 1 and 2 threads, and prints two SHA-256
+# digests: of the trained parameters with each model's forward pass on the
+# 64-case test split, and of the per-epoch logs.
 _DIGEST_SCRIPT = """
 import hashlib, json
+import numpy as np
 from negprec.synth import GenConfig, generate_corpus
-from negprec.training import TrainConfig, train
+from negprec.training import Dataset, TrainConfig, train
 splits = generate_corpus(GenConfig(train_size=256, validation_size=64, test_size=64))
 config = TrainConfig(hidden=50, batch_size=64, max_epochs=2, vocab_buckets=4096,
                      learning_rate=3e-3)
-params, logs = hashlib.sha256(), hashlib.sha256()
+models, logs = hashlib.sha256(), hashlib.sha256()
 for arch in ("simple", "mtl", "joint", "claim_outcome"):
     result = train(arch, config, splits)
-    for name in sorted(result.model.params):
-        params.update(name.encode())
-        params.update(result.model.params[name].tobytes())
+    model = result.model
+    for name in sorted(model.params):
+        models.update(name.encode())
+        models.update(model.params[name].tobytes())
+    test = Dataset.build(splits.test, model.index, model.max_tokens, model.vocab_buckets)
+    models.update(np.asarray(model.forward(test)).tobytes())
     logs.update(json.dumps(result.log, sort_keys=True).encode())
-print(params.hexdigest(), logs.hexdigest())
+print(models.hexdigest(), logs.hexdigest())
+"""
+
+# With OPENBLAS_NUM_THREADS=2 and NumPy imported first, prints the thread
+# count of the OpenBLAS NumPy loaded after importing negprec, or "none"
+# when NumPy loaded no OpenBLAS.
+_PIN_SCRIPT = """
+import ctypes, glob
+from pathlib import Path
+import numpy as np
+get = None
+for path in glob.glob(str(Path(np.__file__).resolve().parent.parent / "numpy.libs" / "*openblas*.so*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "openblas_get_num_threads"):
+        get = get or getattr(lib, symbol, None)
+if get is None:
+    print("none")
+else:
+    get.argtypes, get.restype = [], ctypes.c_int
+    import negprec
+    print(get())
 """
 
 
@@ -460,6 +486,18 @@ class TestTrain:
             digests.append(run.stdout.split())
         assert len(digests[0]) == 2
         assert digests[0] == digests[1]
+
+    def test_import_pins_blas_to_one_thread(self):
+        # NumPy is imported first, as a caller that set up NumPy before
+        # negprec would.
+        src = str(Path(negprec.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", _PIN_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert run.returncode == 0, run.stderr
+        if run.stdout.strip() == "none":
+            pytest.skip("NumPy loaded no OpenBLAS")
+        assert run.stdout.strip() == "1"
 
     def test_selects_earliest_minimum_validation_loss(self):
         splits = small_corpus()
