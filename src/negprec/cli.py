@@ -191,17 +191,7 @@ def cmd_train(args) -> int:
     vectors = load_vector_table(args.vectors) if args.vectors else None
     splits = load_corpus(args.corpus)
     result = train(args.arch, config, splits, vectors=vectors)
-    save_checkpoint(
-        result.model,
-        args.out,
-        extra_meta={
-            "seed": config.seed,
-            "learning_rate": config.learning_rate,
-            "dropout": config.dropout,
-            "best_epoch": result.best_epoch,
-            "val_loss": result.best_val_loss,
-        },
-    )
+    save_checkpoint(result.model, args.out, extra_meta={"seed": config.seed, **result.selected()})
     if args.log_out:
         _write_text(args.log_out, json.dumps(result.log, indent=2) + "\n")
     print(

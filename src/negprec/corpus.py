@@ -186,14 +186,11 @@ def parse_case(record: dict, where: str = "record") -> tuple[Case, int]:
     claims = parse_article_list(record["claims"], "claims", where)
     violated = parse_article_list(record["violated"], "violated", where)
     dropped = len(claims - CORE_ARTICLES) + len(violated - CORE_ARTICLES)
-    claims &= CORE_ARTICLES
-    violated &= CORE_ARTICLES
-    if not violated <= claims:
-        extra = sorted(violated - claims)
-        raise DataError(
-            f"{where}: case {case_id!r} has violated articles {extra} not in its claims"
-        )
-    return Case(case_id=case_id, facts=facts, claims=claims, violated=violated), dropped
+    try:
+        case = Case(case_id, facts, claims & CORE_ARTICLES, violated & CORE_ARTICLES)
+    except DataError as exc:  # Case refuses violated articles that are not claimed
+        raise DataError(f"{where}: {exc}") from exc
+    return case, dropped
 
 
 def read_jsonl(path: Path) -> Iterator[tuple[str, dict]]:

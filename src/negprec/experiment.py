@@ -152,8 +152,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
             save_checkpoint(
                 best.model,
                 out / "checkpoints" / f"{tag}.npz",
-                extra_meta={"seed": seed, "learning_rate": best.config.learning_rate,
-                            "dropout": best.config.dropout},
+                extra_meta={"seed": seed, **best.selected()},
             )
             test_ds = Dataset.build(
                 splits.test, index, best.model.max_tokens, best.model.vocab_buckets
@@ -169,13 +168,7 @@ def run_experiment(manifest: ExperimentManifest, out_dir: str | Path, manifest_t
                 {
                     "model": tag,
                     "grid": summary,
-                    "selected": {
-                        "learning_rate": best.config.learning_rate,
-                        "dropout": best.config.dropout,
-                        "hidden": best.config.hidden,
-                        "best_epoch": best.best_epoch,
-                        "val_loss": best.best_val_loss,
-                    },
+                    "selected": best.selected(),
                     "test_scores": scores,
                     "clamp_warnings": best.model.clamp_warnings,
                 }

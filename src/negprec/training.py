@@ -264,6 +264,17 @@ class TrainResult:
     best_epoch: int = 0
     best_val_loss: float = math.inf
 
+    def selected(self) -> dict:
+        """What training chose: the grid point's settings, the kept epoch
+        and its validation loss. Run logs and checkpoints record this."""
+        return {
+            "learning_rate": self.config.learning_rate,
+            "dropout": self.config.dropout,
+            "hidden": self.config.hidden,
+            "best_epoch": self.best_epoch,
+            "val_loss": self.best_val_loss,
+        }
+
 
 def train(
     arch: str,
@@ -306,20 +317,20 @@ def train(
     full = {n: p for n, p in model.params.items() if n.endswith(".emb")}
     # A mask and in-place renumbering copy one case's ids at a time;
     # np.unique over all ids concatenated raised peak memory by about
-    # 5 MB at 425 tokens per case.
+    # 5 MB at 425 tokens per case. rank maps a seen bucket to its compact row.
     seen = np.zeros(max(map(len, full.values()), default=0), dtype=bool)
     for ids in train_ds.tokens + val_ds.tokens:
         seen[ids] = True
-    vocab = np.flatnonzero(seen)
+    rank = np.cumsum(seen)
+    rank -= 1  # in place: one bucket-sized array, not two
     for ds in (train_ds, val_ds):
         for i, ids in enumerate(ds.tokens):
-            ds.tokens[i] = np.searchsorted(vocab, ids)
+            ds.tokens[i] = rank[ids]
     for name, emb in full.items():
-        model.params[name] = emb[vocab]
+        model.params[name] = emb[seen]
 
     state = AdamState.init(model.params)
     result = TrainResult(model=model, config=config)
-    best_params: dict[str, np.ndarray] | None = None
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_ds))
         total = 0.0
@@ -349,13 +360,12 @@ def train(
             "%s epoch %d: train %.6f validation %.6f%s",
             arch, epoch, train_loss, val_loss, " *" if picked else "",
         )
-    assert best_params is not None
-    for name, p in model.params.items():
-        p[...] = best_params[name]
-    # Write the compact rows back and hand the model its full tables again.
+    # The first epoch's loss is finite, so some epoch was picked. Write its
+    # compact rows into the full tables and hand the model its weights.
     for name, emb in full.items():
-        emb[vocab] = model.params[name]
-        model.params[name] = emb
+        emb[seen] = best_params[name]
+        best_params[name] = emb
+    model.params = best_params
     return result
 
 
@@ -404,18 +414,14 @@ def grid_search(
     summary: list[dict] = []
     for lr, dr, hidden in grid:
         config = replace(base_config, learning_rate=lr, dropout=dr, hidden=hidden)
-        row = {"learning_rate": lr, "dropout": dr, "hidden": hidden}
         try:
             result = train(arch, config, splits, index=index, vectors=vectors)
         except NumericError as exc:
             log.warning("%s grid point diverged: %s", arch, exc)
-            row.update(status="diverged", val_loss=None)
-            summary.append(row)
+            summary.append({"learning_rate": lr, "dropout": dr, "hidden": hidden,
+                            "status": "diverged", "val_loss": None})
             continue
-        row.update(
-            status="ok", val_loss=result.best_val_loss, best_epoch=result.best_epoch
-        )
-        summary.append(row)
+        summary.append({**result.selected(), "status": "ok"})
         if best is None or result.best_val_loss < best.best_val_loss:
             best = result
     if best is None:

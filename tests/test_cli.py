@@ -174,6 +174,12 @@ class TestTrain:
         log = json.loads((pipeline / "joint-log.json").read_text(encoding="utf-8"))
         assert [entry["epoch"] for entry in log] == [1, 2]
         assert all("val_loss" in entry for entry in log)
+        # min keeps the earliest of equal losses, as training does.
+        best = min(log, key=lambda entry: entry["val_loss"])
+        with np.load(pipeline / "joint.npz", allow_pickle=False) as data:
+            meta = json.loads(str(data["_meta"]))
+        assert meta["best_epoch"] == best["epoch"]
+        assert meta["val_loss"] == best["val_loss"]
 
     def test_seed_override_lands_in_checkpoint(self, pipeline, tmp_path, capsys):
         out = tmp_path / "seeded.npz"

@@ -192,7 +192,8 @@ class TestParseCase:
 
     def test_violated_subset_enforced_after_core_filter(self):
         # 34 is dropped from claims, so a violated 6 that was never claimed fails.
-        with pytest.raises(DataError, match="not in its claims"):
+        want = r"record: case 'c': violated articles \[6\] are not claimed"
+        with pytest.raises(DataError, match=want):
             parse_case({"case_id": "c", "facts": "f", "claims": [34], "violated": [6]})
 
 

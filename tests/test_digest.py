@@ -28,6 +28,9 @@ def test_two_builds_of_one_tree_agree():
                  "stdout/significance-exhaustive-neg.txt", "stats/b.json",
                  "stdout/significance-validation.txt", "preds/simple-validation.jsonl"):
         assert path in first
+    # A reloaded run checkpoint predicts what the run wrote.
+    assert (first["preds/bundle-claim_outcome-seed0.jsonl"]
+            == first["bundle/predictions/claim_outcome-seed0.jsonl"])
     # The pattern file drops claims the default patterns find.
     assert first["extracted_patterns/validation.jsonl"] != first["extracted/validation.jsonl"]
     changed = {**first, "bundle/report.csv": "0" * 64}

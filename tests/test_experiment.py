@@ -283,6 +283,15 @@ class TestRunExperiment:
             meta = json.loads(str(data["_meta"]))
         assert meta["seed"] == 0
         assert meta["learning_rate"] == 0.01
+        # Each checkpoint records the epoch and loss its run log selected.
+        run_log = json.loads((run_dir / "run_log.json").read_text(encoding="utf-8"))
+        for record in run_log["runs"]:
+            path = run_dir / "checkpoints" / f"{record['model']}.npz"
+            with np.load(path, allow_pickle=False) as data:
+                meta = json.loads(str(data["_meta"]))
+            selected = record["selected"]
+            assert meta["best_epoch"] == selected["best_epoch"]
+            assert meta["val_loss"] == selected["val_loss"]
 
     def test_prediction_files_reload(self, bundle):
         _, _, run_dir, _ = bundle

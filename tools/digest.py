@@ -130,6 +130,10 @@ def steps(work: Path):
     yield "extract-patterns", ["extract", "--raw", "raw", "--out", "extracted_patterns",
                                "--patterns", "patterns.txt"]
     yield "run", ["run", "--manifest", "run.cfg", "--out", "bundle"]
+    # A reloaded run checkpoint predicts what the run wrote.
+    yield "eval-bundle-claim_outcome-seed0", [
+        "eval", "--ckpt", "bundle/checkpoints/claim_outcome-seed0.npz", "--corpus", "a",
+        "--preds", "preds/bundle-claim_outcome-seed0.jsonl"]
     yield "run-vectors", ["run", "--manifest", "run_vectors.cfg", "--out", "bundle_vectors"]
 
 
