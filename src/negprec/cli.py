@@ -212,7 +212,7 @@ def _subset_articles(
     arrays = {name: getattr(preds, name) for name in ("labels", "pos", "neg")}
     preds_sub = replace(preds, articles=tuple(wanted),
                         **{name: a[:, cols] for name, a in arrays.items() if a is not None})
-    gold_sub = replace(gold, labels=gold.labels[:, cols], claims=gold.claims[:, cols])
+    gold_sub = replace(gold, labels=gold.labels[:, cols])
     return preds_sub, gold_sub
 
 

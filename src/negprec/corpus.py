@@ -82,22 +82,14 @@ class ArticleIndex:
 
 @dataclass
 class LabelMatrix:
-    """Outcome labels and claim indicators for a list of cases.
+    """Outcome labels for a list of cases.
 
-    labels has shape (n_cases, n_articles) with Outcome values; claims is
-    boolean with the same shape. A cell is claimed exactly when its label
-    is not NULL.
+    labels has shape (n_cases, n_articles) with Outcome values. A cell is
+    claimed exactly when its label is not NULL.
     """
 
     case_ids: list[str]
     labels: np.ndarray
-    claims: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.labels.shape != self.claims.shape:
-            raise DataError("labels and claims shapes differ")
-        if not np.array_equal(self.claims, self.labels != Outcome.NULL):
-            raise DataError("claims must mark exactly the non-NULL cells")
 
 
 @dataclass
@@ -121,8 +113,7 @@ def derive_labels(
 ) -> np.ndarray:
     """Turn one case's claim/violation sets into a row of Outcome labels.
 
-    Articles outside the index contribute nothing; callers are expected to
-    have dropped non-core ids already.
+    Articles outside the index contribute nothing.
     """
     if not set(violated) <= set(claims):
         extra = sorted(set(violated) - set(claims))
@@ -147,14 +138,10 @@ def build_label_matrix(cases: list[Case], index: ArticleIndex) -> LabelMatrix:
     dropped = 0
     for i, case in enumerate(cases):
         dropped += len(case.claims - known)
-        labels[i] = derive_labels(case.claims & known, case.violated & known, index)
+        labels[i] = derive_labels(case.claims, case.violated, index)
     if dropped:
         log.warning("dropped %d claim cells outside the article index", dropped)
-    return LabelMatrix(
-        case_ids=[c.case_id for c in cases],
-        labels=labels,
-        claims=labels != Outcome.NULL,
-    )
+    return LabelMatrix([c.case_id for c in cases], labels)
 
 
 def parse_article_list(value: object, what: str, where: str) -> frozenset[int]:
@@ -285,11 +272,10 @@ def filter_articles(splits: SplitSet) -> ArticleIndex:
 def split_stats(splits: SplitSet, index: ArticleIndex) -> dict:
     """Per-split case counts and per-article label histograms, restricted
     to the index articles and read off derive_labels. JSON-ready."""
-    known = set(index.articles)
     out: dict = {"articles": list(index.articles), "splits": {}, "per_article": {}}
     for name in SPLIT_NAMES:
         cases = splits.split(name)
-        rows = [derive_labels(c.claims & known, c.violated & known, index) for c in cases]
+        rows = [derive_labels(c.claims, c.violated, index) for c in cases]
         labels = np.array(rows, dtype=np.int8).reshape(len(cases), len(index))
         pos, neg = labels == Outcome.POS, labels == Outcome.NEG
         claimed = pos | neg

@@ -327,7 +327,7 @@ def _targets(batch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     labels = np.asarray(batch.labels)
     pos_t = (labels == Outcome.POS).astype(np.float64)
     neg_t = (labels == Outcome.NEG).astype(np.float64)
-    claim_t = np.asarray(batch.claims).astype(np.float64)
+    claim_t = (labels != Outcome.NULL).astype(np.float64)
     return pos_t, neg_t, claim_t
 
 

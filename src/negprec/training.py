@@ -170,7 +170,6 @@ class Dataset(LabelMatrix):
             case_ids=[self.case_ids[i] for i in idx],
             tokens=[self.tokens[i] for i in idx],
             labels=self.labels[idx],
-            claims=self.claims[idx],
         )
 
 

@@ -67,7 +67,6 @@ def make_batch(labels: np.ndarray, case_ids: list[str]) -> Dataset:
         case_ids=case_ids,
         tokens=[np.array([], dtype=np.int64) for _ in case_ids],
         labels=labels,
-        claims=labels != Outcome.NULL,
     )
 
 
@@ -149,7 +148,6 @@ def test_criterion_02_gradient_correctness():
                 case_ids=[f"case-{i}" for i in range(6)],
                 tokens=[rng.integers(0, 32, size=rng.integers(1, 12)) for _ in range(6)],
                 labels=labels,
-                claims=labels != Outcome.NULL,
             )
             assert gradient_check(model, batch, epsilon=1e-5) < 1e-4
             if seed == 0:
@@ -291,7 +289,6 @@ def test_criterion_06_random_baseline_analytic():
     gold = LabelMatrix(
         case_ids=[f"case-{i}" for i in range(50)],
         labels=labels,
-        claims=labels != Outcome.NULL,
     )
     counts = {Outcome.POS: 30, Outcome.NEG: 20, Outcome.NULL: 50}
     stats = random_baseline(gold, instantiations=100, seed=0)

@@ -17,7 +17,6 @@ from negprec.corpus import (
     CORE_ARTICLES,
     ArticleIndex,
     Case,
-    LabelMatrix,
     Outcome,
     SplitSet,
     build_label_matrix,
@@ -75,8 +74,9 @@ class TestDeriveLabels:
     @given(
         claims=st.frozensets(st.integers(2, 18), max_size=10),
         mask=st.frozensets(st.integers(2, 18), max_size=10),
+        kept=st.frozensets(st.integers(2, 18)),
     )
-    def test_matches_cellwise_oracle(self, claims, mask):
+    def test_matches_cellwise_oracle(self, claims, mask, kept):
         violated = claims & mask
         row = derive_labels(claims, violated, FULL_INDEX)
         for col, article in enumerate(FULL_INDEX.articles):
@@ -84,6 +84,13 @@ class TestDeriveLabels:
         # claims are exactly the non-NULL cells
         claimed_cols = {FULL_INDEX.column(a) for a in claims}
         assert set(np.nonzero(row != Outcome.NULL)[0]) == claimed_cols
+        # Projected onto a sub-index, claims outside it are dropped, and the
+        # non-NULL cells are exactly the claims the index keeps.
+        index = ArticleIndex(tuple(sorted(kept)))
+        row = build_label_matrix([make_case("c", "", claims, violated)], index).labels[0]
+        for col, article in enumerate(index.articles):
+            assert row[col] == oracle_label(article, claims, violated)
+        assert {index.articles[c] for c in np.nonzero(row != Outcome.NULL)[0]} == claims & kept
 
 
 class TestCase:
@@ -111,20 +118,6 @@ class TestArticleIndex:
         assert len(index) == 3
 
 
-class TestLabelMatrix:
-    def test_claims_must_match_non_null(self):
-        labels = np.array([[Outcome.POS, Outcome.NULL]], dtype=np.int8)
-        good = labels != Outcome.NULL
-        LabelMatrix(case_ids=["a"], labels=labels, claims=good)
-        with pytest.raises(DataError):
-            LabelMatrix(case_ids=["a"], labels=labels, claims=~good)
-
-    def test_shape_mismatch(self):
-        labels = np.full((1, 2), Outcome.NULL, dtype=np.int8)
-        with pytest.raises(DataError):
-            LabelMatrix(case_ids=["a"], labels=labels, claims=np.zeros((2, 2), bool))
-
-
 class TestBuildLabelMatrix:
     def test_tiny_corpus_by_hand(self, tiny_splits):
         index = ArticleIndex((2, 6, 8))
@@ -137,7 +130,6 @@ class TestBuildLabelMatrix:
             [U, U, N],
             [U, U, U],
         ]
-        assert (matrix.claims == (matrix.labels != Outcome.NULL)).all()
 
     def test_out_of_index_cells_dropped(self, tiny_splits):
         index = ArticleIndex((6,))

@@ -25,7 +25,7 @@ def test_two_builds_of_one_tree_agree():
     assert commands == {"synth", "stats", "train", "eval", "significance", "extract", "run"}
     for path in ("bundle/report.csv", "bundle_vectors/report.csv", "extracted/test.jsonl",
                  "reports/joint-vec-articles.csv", "logs/claim_outcome.json",
-                 "stdout/significance-exhaustive-neg.txt", "stats/b.json",
+                 "stdout/significance-exhaustive-neg.txt", "stats/b.json", "stats/extracted.json",
                  "stdout/significance-validation.txt", "preds/simple-validation.jsonl"):
         assert path in first
     # A reloaded run checkpoint predicts what the run wrote.

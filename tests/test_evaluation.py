@@ -90,7 +90,6 @@ def make_gold(labels: list[list[int]], prefix: str = "c") -> LabelMatrix:
     return LabelMatrix(
         case_ids=[f"{prefix}-{i}" for i in range(arr.shape[0])],
         labels=arr,
-        claims=arr != Outcome.NULL,
     )
 
 

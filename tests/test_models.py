@@ -116,7 +116,6 @@ def make_batch(labels, tokens=None, case_ids=None) -> Dataset:
         case_ids=case_ids,
         tokens=tokens,
         labels=labels,
-        claims=labels != Outcome.NULL,
     )
 
 

@@ -372,7 +372,6 @@ class TestDataset:
         assert len(ds) == 4
         P, N, U = Outcome.POS, Outcome.NEG, Outcome.NULL
         assert ds.labels.tolist() == [[P, N, U], [U, P, U], [U, U, N], [U, U, U]]
-        np.testing.assert_array_equal(ds.claims, ds.labels != Outcome.NULL)
         assert all(t.size > 0 for t in ds.tokens)
 
     def test_build_without_tokens(self, tiny_splits, monkeypatch):
@@ -447,13 +446,6 @@ class TestDataset:
         del cases
         gc.collect()
         assert len(stored) == 0
-
-    def test_claims_must_match_labels(self, tiny_splits):
-        # A dataset is a label matrix, and gets its check.
-        ds = Dataset.build(tiny_splits.train, ArticleIndex((2, 6, 8)), 16, 32)
-        with pytest.raises(DataError, match="claims must mark exactly"):
-            Dataset(case_ids=ds.case_ids, tokens=ds.tokens, labels=ds.labels,
-                    claims=~ds.claims)
 
     def test_subset(self, tiny_splits):
         index = ArticleIndex((2, 6, 8))

@@ -127,6 +127,8 @@ def steps(work: Path):
         "--resamples", "2000", "--seed", "3"]
     yield "extract", ["extract", "--raw", "raw", "--out", "extracted",
                       "--violations", "violations.json"]
+    # Index (6,): the training case claims 8 and the test case 13, both outside it.
+    yield "stats-extracted", ["stats", "--corpus", "extracted", "--json", "stats/extracted.json"]
     yield "extract-patterns", ["extract", "--raw", "raw", "--out", "extracted_patterns",
                                "--patterns", "patterns.txt"]
     yield "run", ["run", "--manifest", "run.cfg", "--out", "bundle"]
