@@ -57,7 +57,13 @@ class Bag:
         for lo in range(0, len(token_ids), _SLICE):
             chunk = token_ids[lo : lo + _SLICE]
             lengths = np.array([len(ids) for ids in chunk])
-            rows, col = np.unique(np.concatenate(chunk), return_inverse=True)
+            ids = np.concatenate(chunk)
+            # The ids present, ascending, and each id's place among them:
+            # np.unique's rows and inverse without its sort.
+            seen = np.zeros(int(ids.max(initial=-1)) + 1, dtype=bool)
+            seen[ids] = True
+            rows = np.flatnonzero(seen)
+            col = (np.cumsum(seen) - 1)[ids]
             case = np.repeat(np.arange(len(chunk)), lengths)
             counts = np.bincount(case * len(rows) + col, minlength=len(chunk) * len(rows))
             weights = counts.reshape(len(chunk), len(rows)) / np.maximum(lengths, 1)[:, None]

@@ -202,27 +202,28 @@ class AdamState:
         )
 
 
-def _adam_update(p, m, v, g, lr, bc1, bc2) -> None:
+def _adam_update(p, m, v, g, alpha, eps_hat) -> None:
     """Adam on p, m and v in place from the dense gradient g."""
-    # m = beta1 m + (1 - beta1) g, v likewise, then
-    # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps): the same elementwise
-    # operations in the same order, over blocks of rows, so every
-    # temporary stays in cache and adds little to peak memory.
+    # m = beta1 m + (1 - beta1) g and v likewise, then
+    # p -= alpha * m / (sqrt(v) + eps_hat), over blocks of rows with one
+    # scratch array per block, so the scratch stays in cache and adds
+    # little to peak memory.
     block_rows = max(1, _ADAM_BLOCK // max(1, math.prod(p.shape[1:])))
     for lo in range(0, len(p), block_rows):
         block = slice(lo, lo + block_rows)
         mb, vb, gb = m[block], v[block], g[block]
+        t = np.multiply(gb, 1.0 - _ADAM_BETA1)
         mb *= _ADAM_BETA1
-        mb += (1.0 - _ADAM_BETA1) * gb
+        mb += t
+        np.multiply(gb, gb, out=t)
+        t *= 1.0 - _ADAM_BETA2
         vb *= _ADAM_BETA2
-        vb += (1.0 - _ADAM_BETA2) * (gb * gb)
-        step = np.divide(mb, bc1)
-        step *= lr
-        denom = np.divide(vb, bc2)
-        np.sqrt(denom, out=denom)
-        denom += _ADAM_EPS
-        step /= denom
-        p[block] -= step
+        vb += t
+        np.sqrt(vb, out=t)
+        t += eps_hat
+        np.divide(mb, t, out=t)
+        t *= alpha
+        p[block] -= t
 
 
 def adam_step(
@@ -246,8 +247,13 @@ def adam_step(
     state.step += 1
     bc1 = 1.0 - _ADAM_BETA1 ** state.step
     bc2 = 1.0 - _ADAM_BETA2 ** state.step
+    # lr (m / bc1) / (sqrt(v / bc2) + eps) with the bias corrections moved
+    # into one step size and epsilon (Kingma & Ba 2015, section 2), so each
+    # element takes one divide; only the step's rounding differs.
+    alpha = lr * math.sqrt(bc2) / bc1
+    eps_hat = _ADAM_EPS * math.sqrt(bc2)
     for name, g in grads.items():
-        _adam_update(params[name], state.m[name], state.v[name], g, lr, bc1, bc2)
+        _adam_update(params[name], state.m[name], state.v[name], g, alpha, eps_hat)
 
 
 # --------------------------------------------------------------------------

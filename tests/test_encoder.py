@@ -12,7 +12,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from negprec.encoder import (
@@ -69,6 +69,39 @@ class TestTokenize:
         assert len(ids) <= 512
         if ids.size:
             assert ids.min() >= 0 and ids.max() < buckets
+
+
+def unique_reference(chunk):
+    """One slice of a Bag built with np.unique: the sorted distinct ids, and
+    per case each id's count over the case's length (0 for an empty case)."""
+    rows = np.unique(np.concatenate(chunk))
+    weights = np.zeros((len(chunk), len(rows)))
+    for i, case_ids in enumerate(chunk):
+        ids, counts = np.unique(case_ids, return_counts=True)
+        weights[i, np.searchsorted(rows, ids)] = counts / max(len(case_ids), 1)
+    return rows, weights
+
+
+class TestBag:
+    @given(st.lists(st.lists(st.integers(0, 40) | st.integers(0, 32767), max_size=20),
+                    max_size=150))
+    @example([])
+    @example([[], []])
+    @example([[]] * 64 + [[5, 5, 0]])  # an all-empty first slice
+    # 150 cases make slices of 64, 64 and 22; the middle one is all empty.
+    @example([[i % 7, 32767] for i in range(64)] + [[]] * 64 + [[3] * i for i in range(22)])
+    def test_slices_match_unique_reference(self, cases):
+        ids = [np.array(c, dtype=np.int64) for c in cases]
+        bag = Bag.of(ids)
+        assert bag.n_cases == len(ids)
+        assert [(s.start, s.stop) for s, _, _ in bag.slices] == [
+            (lo, min(lo + 64, len(ids))) for lo in range(0, len(ids), 64)
+        ]
+        for cases_slice, rows, weights in bag.slices:
+            want_rows, want_weights = unique_reference(ids[cases_slice])
+            assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+            assert weights.shape == want_weights.shape
+            assert weights.tobytes() == want_weights.tobytes()
 
 
 class TestBowEncode:

@@ -1,7 +1,12 @@
 """Training loop: Adam arithmetic, config parsing, model selection, grids.
 
-The Adam oracle below is the textbook bias-corrected recurrence written with
-Python scalars, compared against the vectorized in-place implementation.
+Adam keeps the textbook moments and computes the bias-corrected step in
+Kingma & Ba's one-divide order, alpha_t m / (sqrt(v) + eps_hat). The moments
+are checked byte for byte against the textbook recurrence, the step against
+the textbook step to within its rounding error bound, and the Python-scalar
+recurrence to 1e-14. The whole-array oracle, adam_oracle, spells out the
+implementation's own order, so training is checked byte for byte against
+it, compact embedding tables included.
 """
 
 from __future__ import annotations
@@ -76,6 +81,18 @@ def initial_model(arch, config, splits, vectors=None):
     return model, rng
 
 
+def adam_oracle(p, m, v, g, lr, t):
+    """Step t of Adam over whole arrays: the textbook moments, then the
+    step in Kingma & Ba's (2015, section 2) order of computation,
+    alpha_t m / (sqrt(v) + eps_hat) with alpha_t = lr sqrt(bc2) / bc1 and
+    eps_hat = eps sqrt(bc2). Returns the new p, m and v."""
+    bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
+    alpha, eps_hat = lr * math.sqrt(bc2) / bc1, 1e-8 * math.sqrt(bc2)
+    m = m * 0.9 + (1.0 - 0.9) * g
+    v = v * 0.999 + (1.0 - 0.999) * (g * g)
+    return p - m / (np.sqrt(v) + eps_hat) * alpha, m, v
+
+
 def full_table_oracle(arch, config, splits, vectors=None):
     """train() as a plain loop: dense Adam written out over every whole
     parameter array, full embedding tables included, with the generator
@@ -99,14 +116,10 @@ def full_table_oracle(arch, config, splits, vectors=None):
             loss, grads = model.loss_and_grads(batch, dropout=config.dropout, rng=rng)
             total += loss * len(batch.case_ids)
             t += 1
-            bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
             for name, g in grads.items():
-                g = np.asarray(g)
-                m[name] = m[name] * 0.9 + (1.0 - 0.9) * g
-                v[name] = v[name] * 0.999 + (1.0 - 0.999) * (g * g)
                 # In place: the encoders alias the embedding tables.
-                params[name][...] = params[name] - lr * (m[name] / bc1) / (
-                    np.sqrt(v[name] / bc2) + 1e-8)
+                params[name][...], m[name], v[name] = adam_oracle(
+                    params[name], m[name], v[name], np.asarray(g), lr, t)
         val_loss = model.nll(val_ds)
         picked = val_loss < best_loss
         if picked:
@@ -252,11 +265,66 @@ class TestAdam:
         for t in (1, 2, 3):
             g = rng.normal(size=p0.shape)
             adam_step(params, {"w": g}, state, lr=0.01)
+            want, m, v = adam_oracle(want, m, v, g, 0.01, t)
+        assert params["w"].tobytes() == want.tobytes()
+
+    def test_moments_are_the_textbook_recurrence_bitwise(self):
+        # Only the step's order of computation departs from the textbook;
+        # m and v take its operations in its order, zero rows included.
+        rng = np.random.default_rng(9)
+        params = {"w": rng.normal(size=(50, 4))}
+        state = AdamState.init(params)
+        m = np.zeros((50, 4))
+        v = np.zeros((50, 4))
+        for _ in range(5):
+            g = rng.normal(size=(50, 4))
+            g[rng.random(50) < 0.3] = 0.0
+            adam_step(params, {"w": g}, state, lr=0.01)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * (g * g)
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+
+    def test_step_is_the_textbook_step_up_to_rounding(self):
+        """Each step against the textbook lr (m / bc1) / (sqrt(v / bc2) + eps)
+        from the same m and v, element by element. Both round the same exact
+        S (Higham, Accuracy and Stability of Numerical Algorithms, 3.1, with
+        gamma_k = k u / (1 - k u), u = 2^-53): the textbook rounds 6 times
+        (m / bc1, times lr, v / bc2, the root, + eps, the divide), the
+        eps-hat form 8 times (3 in alpha, 2 in eps_hat, the root, + eps_hat,
+        the divide, times alpha; a sum of non-negative terms keeps the
+        larger relative error). So |step - textbook| <= (gamma_6 + gamma_8)
+        |S|, and |S| <= |textbook| / (1 - gamma_6)."""
+        u = 2.0 ** -53
+
+        def gamma(k):
+            return k * u / (1 - k * u)
+
+        bound = (gamma(6) + gamma(8)) / (1 - gamma(6))
+        rng = np.random.default_rng(10)
+        n = 400
+        # |g| from 1e-12, where sqrt(v) is far below eps_hat, to 1e3; the
+        # first 20 at 1e-170, where g * g underflows and v = 0 while m is
+        # not; the next 20 never get a gradient, so m = v = 0.
+        scale = 10.0 ** rng.uniform(-12, 3, size=n)
+        scale[:20] = 1e-170
+        scale[20:40] = 0.0
+        params = {"w": np.zeros(n)}
+        state = AdamState.init(params)
+        m = np.zeros(n)
+        v = np.zeros(n)
+        for t in range(1, 7):  # bc2 is 0.001 at step 1 and 0.002 at step 2
+            g = rng.normal(size=n) * scale
+            params["w"][...] = 0.0  # 0 - step is exact, so p reads back -step
+            adam_step(params, {"w": g}, state, lr=0.01)
+            step = -params["w"]
             m = m * 0.9 + (1.0 - 0.9) * g
             v = v * 0.999 + (1.0 - 0.999) * (g * g)
             bc1, bc2 = 1.0 - 0.9**t, 1.0 - 0.999**t
-            want = want - 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
-        assert params["w"].tobytes() == want.tobytes()
+            textbook = 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+            assert (np.abs(step - textbook) <= bound * np.abs(textbook)).all()
+            assert not v[:20].any() and m[:20].all() and step[:20].all()
+            assert not step[20:40].any()
 
     def test_non_finite_gradient_checked_before_any_update(self):
         # The finite "a" comes first, and must not be updated either.
