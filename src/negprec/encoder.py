@@ -43,7 +43,7 @@ _SLICE = 64
 @dataclass(frozen=True)
 class Bag:
     """A batch's token ids as averaging matrices, one per slice of at most
-    _SLICE consecutive cases: the slice's sorted distinct token rows, and a
+    _SLICE consecutive cases: the slice's sorted distinct table rows, and a
     (cases, rows) matrix of each row's count in a case over the case's
     length. An empty case has a zero row, so it pools to the zero vector.
     Built once per batch, it serves every encoder and the backward pass."""
@@ -52,21 +52,28 @@ class Bag:
     n_cases: int
 
     @classmethod
-    def of(cls, token_ids: list[np.ndarray]) -> "Bag":
+    def of(cls, token_ids: list[np.ndarray], row_of: np.ndarray) -> "Bag":
+        """row_of maps a token id to its table row, or to -1 for an id the
+        table has no row for: such a token adds nothing to its case's sum
+        but still counts in its length, as a zero row would."""
         slices = []
         for lo in range(0, len(token_ids), _SLICE):
             chunk = token_ids[lo : lo + _SLICE]
             lengths = np.array([len(ids) for ids in chunk])
-            ids = np.concatenate(chunk)
-            # The ids present, ascending, and each id's place among them:
-            # np.unique's rows and inverse without its sort.
-            seen = np.zeros(int(ids.max(initial=-1)) + 1, dtype=bool)
+            ids = row_of[np.concatenate(chunk)]
+            # The rows present, ascending, and each id's place among them:
+            # np.unique's rows and inverse without its sort. An id without a
+            # row (-1) marks seen's last slot, one past every row, so its
+            # column comes last; dropping that column leaves the id out of
+            # its case's sum but not out of its length.
+            seen = np.zeros(int(ids.max(initial=-1)) + 2, dtype=bool)
             seen[ids] = True
-            rows = np.flatnonzero(seen)
+            rows = np.flatnonzero(seen[:-1])
             col = (np.cumsum(seen) - 1)[ids]
             case = np.repeat(np.arange(len(chunk)), lengths)
-            counts = np.bincount(case * len(rows) + col, minlength=len(chunk) * len(rows))
-            weights = counts.reshape(len(chunk), len(rows)) / np.maximum(lengths, 1)[:, None]
+            width = len(rows) + 1
+            counts = np.bincount(case * width + col, minlength=len(chunk) * width)
+            weights = counts.reshape(len(chunk), width)[:, :-1] / np.maximum(lengths, 1)[:, None]
             slices.append((slice(lo, lo + len(chunk)), rows, weights))
         return cls(tuple(slices), len(token_ids))
 

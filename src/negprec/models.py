@@ -23,6 +23,7 @@ coordinate-by-coordinate against finite differences.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import json
@@ -37,7 +38,7 @@ import numpy as np
 from . import encoder
 from .corpus import ArticleIndex, Outcome
 from .encoder import Bag, PrecomputedEncoder
-from .errors import DataError, UsageError
+from .errors import DataError, NegprecError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -63,7 +64,7 @@ def _pin_blas_threads() -> None:
 
 _pin_blas_threads()
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # The one place a new model's shape defaults are written: build_model's
 # keywords and TrainConfig's fields both read them.
@@ -188,13 +189,15 @@ class Model:
     through a sigmoid, which joint overrides with its softmax.
 
     params maps dotted names to float64 arrays and holds every weight, the
-    hashed bag-of-words tables ("<encoder>.emb") included; every shape
-    (articles, hidden, dim, buckets) is read off them. The vector table
-    decides the encoder: a model given precomputed `vectors` reads every
-    encoder from them and has no table, one without reads its tables.
-    max_tokens is the token limit its tables were trained with, 0 without
-    tables; checkpoints record it, and the model's datasets are tokenized
-    exactly when it is above 0 (Dataset.build).
+    hashed bag-of-words tables ("<encoder>.emb") included. A table has one
+    row per bucket of `vocab`, the sorted bucket ids the model trained on,
+    out of `vocab_buckets` (0 without tables); any other bucket reads as a
+    zero row (Bag.of). The vector table decides the encoder: a model given
+    precomputed `vectors` reads every encoder from them and has no table,
+    one without reads its tables. max_tokens is the token limit its tables
+    were trained with, 0 without tables; checkpoints record it, and the
+    model's datasets are tokenized exactly when it is above 0
+    (Dataset.build).
     """
 
     arch = ""
@@ -206,21 +209,24 @@ class Model:
         params: dict[str, np.ndarray],
         max_tokens: int,
         vectors: PrecomputedEncoder | None,
+        vocab: np.ndarray | None,
+        vocab_buckets: int,
     ) -> None:
         self.index = index
         self.params = params
         self.max_tokens = max_tokens
         self.vectors = vectors
+        self.vocab = vocab
+        self.vocab_buckets = vocab_buckets
+        # Each bucket's table row, -1 for a bucket outside vocab.
+        if vocab is not None:
+            self._row_of = np.full(vocab_buckets, -1, dtype=np.intp)
+            self._row_of[vocab] = np.arange(len(vocab))
         self.clamp_warnings = 0
 
     @property
     def encoder_kind(self) -> str:
         return "hashed_bow" if self.vectors is None else "precomputed"
-
-    @property
-    def vocab_buckets(self) -> int:
-        """Embedding table rows, 0 without tables (compact while train() runs)."""
-        return next((len(p) for n, p in self.params.items() if n.endswith(".emb")), 0)
 
     def param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
@@ -255,7 +261,7 @@ class Model:
         batch's Bag is built once and shared by every encoder and, through
         the cache, the backward pass."""
         cache = {} if cache is None else cache
-        bag = cache["bag"] = Bag.of(batch.tokens) if self.vectors is None else None
+        bag = cache["bag"] = Bag.of(batch.tokens, self._row_of) if self.vectors is None else None
         xs = cache["x"] = {name: self._dropout(self._encode(batch, bag, name), dropout, rng)
                            for name in _encoder_names(type(self))}
         logits = {}
@@ -269,8 +275,8 @@ class Model:
         """Gradients of every parameter from {head: d loss / d logits}.
 
         Heads that read the same encoder add their dx before its dropout
-        mask is applied. Embedding gradients are dense over the table;
-        precomputed encoders have none."""
+        mask is applied. Embedding gradients are dense over the table, with
+        one row per bucket of vocab; precomputed encoders have none."""
         grads: dict = {}
         dxs: dict[str, np.ndarray] = {}
         for head, enc, width in self.heads:
@@ -414,24 +420,54 @@ def _encoder_names(cls: type[Model]) -> tuple[str, ...]:
 
 
 def _param_table(
-    cls: type[Model], n_articles: int, hidden: int, dim: int, vocab_buckets: int, tables: bool
+    cls: type[Model], n_articles: int, hidden: int, dim: int, rows: int, tables: bool
 ) -> dict[str, tuple[tuple[int, ...], float]]:
     """Every parameter array an architecture has, in initialization order
-    (embedding tables if `tables`, then heads in declaration order), with
-    its shape and the bound of its uniform initialization."""
+    (embedding tables of `rows` rows if `tables`, then heads in declaration
+    order), with its shape and the bound of its uniform initialization."""
     table: dict[str, tuple[tuple[int, ...], float]] = {}
     if tables:
         # Mean pooling over N tokens shrinks feature magnitude roughly by
         # 1/sqrt(N); a fixed +-0.5 init keeps pooled features at a scale the
         # heads can learn from within a short epoch budget.
         for enc in _encoder_names(cls):
-            table[f"{enc}.emb"] = (vocab_buckets, dim), 0.5
+            table[f"{enc}.emb"] = (rows, dim), 0.5
     # Every head weight is uniform in +-1/sqrt(fan-in), its last axis.
     for head, _, width in cls.heads:
         table[f"{head}.hidden_w"] = (n_articles, hidden, dim), 1.0 / np.sqrt(dim)
         out = (n_articles, hidden) if width == 1 else (n_articles, width, hidden)
         table[f"{head}.out_w"] = out, 1.0 / np.sqrt(hidden)
     return table
+
+
+@contextlib.contextmanager
+def memory_guard(what: str, error: type[NegprecError] = UsageError):
+    """Raise error("<what> does not fit in memory") for an allocation that
+    fails in the block: numpy raises MemoryError when it fails, and refuses
+    a size past its limit with "array is too big"."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and "array is too big" not in str(exc):
+            raise
+        raise error(f"{what} does not fit in memory") from exc
+
+
+# Elements per block of an embedding table's initial draw.
+_DRAW_BLOCK = 1 << 16
+
+
+def _draw_rows(rng, bound: float, n_rows: int, dim: int, keep: np.ndarray) -> np.ndarray:
+    """rng.uniform(-bound, bound, (n_rows, dim))[keep] for sorted distinct
+    rows `keep`, drawn a block at a time. The blocks continue one stream, so
+    the kept rows and the generator's end state are the whole draw's."""
+    out = np.empty((len(keep), dim))
+    step = max(1, _DRAW_BLOCK // dim)
+    for lo in range(0, n_rows, step):
+        block = rng.uniform(-bound, bound, size=(min(step, n_rows - lo), dim))
+        a, b = np.searchsorted(keep, (lo, lo + step))
+        out[a:b] = block[keep[a:b] - lo]
+    return out
 
 
 def build_model(
@@ -443,41 +479,44 @@ def build_model(
     vocab_buckets: int = SHAPE_DEFAULTS["vocab_buckets"],
     max_tokens: int = SHAPE_DEFAULTS["max_tokens"],
     vectors: PrecomputedEncoder | None = None,
+    vocab: np.ndarray | None = None,
 ) -> Model:
     """Create a freshly initialized model. Weights are drawn in _param_table
-    order, so a seed pins every weight. The vector table decides the
-    encoder: given `vectors`, the model reads them, takes its dim from them
-    and has no embedding tables (vocab_buckets and max_tokens are unused);
+    order, each embedding table over all vocab_buckets rows, so a seed pins
+    every weight; a table keeps only the rows of `vocab`, sorted distinct
+    bucket ids (None: every bucket). The vector table decides the encoder:
+    given `vectors`, the model reads them, takes its dim from them and has
+    no embedding tables (vocab_buckets, max_tokens and vocab are unused);
     without, it trains hashed bag-of-words tables. A shape below 1, or too
     large for memory, is a UsageError."""
     if arch not in _MODEL_CLASSES:
         raise DataError(f"unknown architecture {arch!r}; expected one of {ARCHITECTURES}")
-    if vectors is not None:
-        dim, max_tokens = vectors.dim, 0
+    tables = vectors is None
+    if not tables:
+        dim, max_tokens, vocab_buckets, vocab = vectors.dim, 0, 0, None
     shape = {"hidden": hidden, "dim": dim}
-    if vectors is None:
+    if tables:
         shape["vocab_buckets"] = vocab_buckets
     for name, value in shape.items():
         if value < 1:
             raise UsageError(f"{name} must be >= 1, got {value}")
     cls = _MODEL_CLASSES[arch]
-    table = _param_table(cls, len(index), hidden, dim, vocab_buckets, vectors is None)
+    if tables and vocab is None:
+        with memory_guard(f"a table of {vocab_buckets} rows"):
+            vocab = np.arange(vocab_buckets)
+    table = _param_table(cls, len(index), hidden, dim, len(vocab) if tables else 0, tables)
     params = {}
     for name, (shape, bound) in table.items():
-        try:
-            params[name] = rng.uniform(-bound, bound, size=shape)
-        except (MemoryError, ValueError) as exc:
-            # numpy refuses a size past its limit with "array is too big"
-            # and raises MemoryError when the allocation fails.
-            if isinstance(exc, ValueError) and "array is too big" not in str(exc):
-                raise
-            raise UsageError(f"{name} of shape {shape} does not fit in memory") from exc
-    return cls(index, params, max_tokens, vectors)
+        with memory_guard(f"{name} of shape {shape}"):
+            params[name] = (_draw_rows(rng, bound, vocab_buckets, dim, vocab)
+                            if name.endswith(".emb") else rng.uniform(-bound, bound, size=shape))
+    with memory_guard(f"a row lookup over {vocab_buckets} buckets"):
+        return cls(index, params, max_tokens, vectors, vocab, vocab_buckets)
 
 
 def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = None) -> None:
-    """Self-describing container: a JSON metadata entry plus every weight
-    array under its parameter name."""
+    """Self-describing container: a JSON metadata entry, a model with
+    tables' vocab, and every weight array under its parameter name."""
     _, hidden, dim = model.params[f"{model.heads[0][0]}.hidden_w"].shape
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -491,11 +530,14 @@ def save_checkpoint(model: Model, path: str | Path, extra_meta: dict | None = No
     }
     if extra_meta:
         meta.update(extra_meta)
+    arrays = dict(model.params)
+    if model.vocab is not None:
+        arrays["vocab"] = model.vocab.astype(np.min_scalar_type(model.vocab_buckets - 1))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # savez on a file object, not a path: the path form appends ".npz".
     with path.open("wb") as fh:
-        np.savez(fh, _meta=np.asarray(json.dumps(meta, sort_keys=True)), **model.params)
+        np.savez(fh, _meta=np.asarray(json.dumps(meta, sort_keys=True)), **arrays)
 
 
 def _open_npz(p: Path, fh) -> np.lib.npyio.NpzFile:
@@ -511,24 +553,46 @@ def _open_npz(p: Path, fh) -> np.lib.npyio.NpzFile:
     return data
 
 
-def _read_weights(p: Path, data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
-    """One stored parameter as float64; anything but finite real floating
-    point (strings, complex, NaN, an object array) is a DataError."""
-    bad = DataError(f"{p}: {name} must hold finite real floating-point values")
+def _read_array(p: Path, data: np.lib.npyio.NpzFile, name: str, what: str, valid) -> np.ndarray:
+    """One stored array for which valid(array) holds; anything else, an
+    object array included, is DataError("<name> must hold <what>")."""
     try:
         array = data[name]
-    except ValueError as exc:  # an object array, which allow_pickle=False refuses
-        raise bad from exc
-    if array.dtype.kind != "f" or not np.isfinite(array).all():
-        raise bad
+    except ValueError:  # an object array, which allow_pickle=False refuses
+        array = None
+    if array is None or not valid(array):
+        raise DataError(f"{p}: {name} must hold {what}")
+    return array
+
+
+def _read_weights(p: Path, data: np.lib.npyio.NpzFile, name: str) -> np.ndarray:
+    """One stored parameter as float64 (strings, complex, NaN: DataError)."""
+    array = _read_array(p, data, name, "finite real floating-point values",
+                        lambda a: a.dtype.kind == "f" and np.isfinite(a).all())
     return np.asarray(array, dtype=np.float64)
+
+
+def _read_vocab(p: Path, data: np.lib.npyio.NpzFile, vocab_buckets: int) -> np.ndarray:
+    """A version-2 checkpoint's vocab, strictly increasing bucket ids."""
+    if vocab_buckets < 1:
+        raise DataError(f"{p}: vocab_buckets must be >= 1, got {vocab_buckets}")
+    if "vocab" not in data:
+        raise DataError(f"{p}: missing vocab")
+    return _read_array(
+        p, data, "vocab", f"strictly increasing integer bucket ids in [0, {vocab_buckets})",
+        lambda a: a.dtype.kind in "iu" and a.ndim == 1 and (a[1:] > a[:-1]).all()
+        and (not len(a) or (a[0] >= 0 and a[-1] < vocab_buckets)),
+    ).astype(np.intp)
 
 
 def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None) -> Model:
     """Read a checkpoint written by save_checkpoint. Every parameter the
     metadata implies must be present with its shape, and nothing else; every
-    array must hold finite real floating-point values. A precomputed
-    checkpoint needs `vectors` of its dim, a hashed_bow one refuses them."""
+    array must hold finite real floating-point values. A model with tables
+    has one row per bucket of its vocab; a version-1 checkpoint, which
+    stored whole tables and no vocab, reads as vocab = every bucket. A
+    precomputed checkpoint needs `vectors` of its dim, a hashed_bow one
+    refuses them."""
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
@@ -541,10 +605,9 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
             raise DataError(f"{p}: checkpoint metadata is not JSON ({exc.msg})") from exc
         if not isinstance(meta, dict):
             raise DataError(f"{p}: checkpoint metadata is not a JSON object")
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise DataError(
-                f"{p}: unsupported checkpoint version {meta.get('version')!r}"
-            )
+        version = meta.get("version")
+        if version not in (1, CHECKPOINT_VERSION):
+            raise DataError(f"{p}: unsupported checkpoint version {version!r}")
         arch = meta.get("arch")
         if arch not in _MODEL_CLASSES:
             raise DataError(f"{p}: unknown architecture {arch!r}")
@@ -555,16 +618,19 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
             encoder_kind = meta["encoder_kind"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{p}: malformed checkpoint metadata ({exc!r})") from exc
-        params = {name: _read_weights(p, data, name) for name in data.files if name != "_meta"}
-    if encoder_kind not in ("hashed_bow", "precomputed"):
-        raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
+        if encoder_kind not in ("hashed_bow", "precomputed"):
+            raise DataError(f"{p}: unknown encoder kind {encoder_kind!r}")
+        tables = encoder_kind == "hashed_bow"
+        vocab = _read_vocab(p, data, vocab_buckets) if tables and version > 1 else None
+        skip = {"_meta"} if vocab is None else {"_meta", "vocab"}
+        params = {name: _read_weights(p, data, name) for name in data.files if name not in skip}
     cls = _MODEL_CLASSES[arch]
-    tables = encoder_kind == "hashed_bow"
     # Dataset.build tokenizes exactly when max_tokens > 0, that is, for a
     # model with tables.
     if tables != (max_tokens > 0):
         raise DataError(f"{p}: max_tokens {max_tokens} does not fit a {encoder_kind} checkpoint")
-    expected = _param_table(cls, len(index), hidden, dim, vocab_buckets, tables)
+    rows = vocab_buckets if vocab is None else len(vocab)
+    expected = _param_table(cls, len(index), hidden, dim, rows, tables)
     for name, (shape, _) in expected.items():
         if name not in params:
             raise DataError(f"{p}: missing weights for {name}")
@@ -578,9 +644,12 @@ def load_checkpoint(path: str | Path, vectors: PrecomputedEncoder | None = None)
     if tables:
         if vectors is not None:
             raise DataError(f"{p}: a hashed_bow checkpoint takes no vector table")
+        if vocab is None:
+            vocab = np.arange(vocab_buckets)
     elif vectors is None:
         raise DataError(f"{p}: precomputed checkpoint needs a vector table")
     elif vectors.dim != dim:
         raise DataError(f"{p}: vector table has dimension {vectors.dim}, "
                         f"the checkpoint expects {dim}")
-    return cls(index, params, max_tokens, vectors)
+    with memory_guard(f"{p}: a row lookup over {vocab_buckets} buckets", DataError):
+        return cls(index, params, max_tokens, vectors, vocab, vocab_buckets)

@@ -21,7 +21,7 @@ import numpy as np
 from .corpus import ArticleIndex, Case, LabelMatrix, SplitSet, build_label_matrix, filter_articles
 from .encoder import PrecomputedEncoder, tokenize
 from .errors import DataError, NumericError, UsageError
-from .models import ARCHITECTURES, SHAPE_DEFAULTS, Model, build_model
+from .models import ARCHITECTURES, SHAPE_DEFAULTS, Model, build_model, memory_guard
 
 log = logging.getLogger(__name__)
 
@@ -281,6 +281,17 @@ class TrainResult:
         }
 
 
+def _vocab_of(tokens: list[np.ndarray], vocab_buckets: int) -> np.ndarray:
+    """The sorted distinct bucket ids in tokens. A mask over the buckets
+    reads one case's ids at a time; np.unique over all ids concatenated
+    raised peak memory by about 5 MB at 425 tokens per case."""
+    with memory_guard(f"a mask over {vocab_buckets} buckets"):
+        seen = np.zeros(vocab_buckets, dtype=bool)
+    for ids in tokens:
+        seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 def train(
     arch: str,
     config: TrainConfig,
@@ -291,13 +302,26 @@ def train(
     """Train one architecture and keep the epoch with the lowest validation
     loss (earliest epoch on ties). Validation runs with dropout disabled.
     Given `vectors`, the model reads them in place of hashed bag-of-words
-    tables."""
+    tables. Its tables hold the rows of the buckets the training and
+    validation tokens hash to, its vocab: no other row would get a
+    gradient, and a row without one has m = v = 0, so its Adam step is
+    exactly 0. Each kept row's initial value is that of a whole-table draw
+    (build_model), so training is bit-identical to training whole tables."""
     if arch not in ARCHITECTURES:
         raise UsageError(f"unknown architecture {arch!r}")
     if not splits.train:
         raise DataError("training split is empty")
     if index is None:
         index = filter_articles(splits)
+    # A vector table takes the place of the tables, and with them the tokens.
+    max_tokens = config.max_tokens if vectors is None else 0
+    train_ds = Dataset.build(splits.train, index, max_tokens, config.vocab_buckets)
+    val_ds = Dataset.build(splits.validation, index, max_tokens, config.vocab_buckets)
+    if not len(val_ds):
+        raise DataError("validation split is empty")
+    vocab = None
+    if vectors is None:
+        vocab = _vocab_of(train_ds.tokens + val_ds.tokens, config.vocab_buckets)
     rng = np.random.default_rng(config.seed)
     model = build_model(
         arch,
@@ -306,34 +330,10 @@ def train(
         dim=config.dim,
         hidden=config.hidden,
         vocab_buckets=config.vocab_buckets,
-        max_tokens=config.max_tokens,
+        max_tokens=max_tokens,
         vectors=vectors,
+        vocab=vocab,
     )
-    train_ds = Dataset.build(splits.train, index, model.max_tokens, model.vocab_buckets)
-    val_ds = Dataset.build(splits.validation, index, model.max_tokens, model.vocab_buckets)
-    if not len(val_ds):
-        raise DataError("validation split is empty")
-    # Train each embedding on the rows the training and validation tokens
-    # hash to, with the tokens renumbered to match. No other row gets a
-    # gradient, and a row without one yet has m = v = 0, so its Adam step
-    # is exactly 0: the result is bit-identical to training the whole table.
-    # A model without tables has no tokens and gets an empty mask, so
-    # nothing here changes it.
-    full = {n: p for n, p in model.params.items() if n.endswith(".emb")}
-    # A mask and in-place renumbering copy one case's ids at a time;
-    # np.unique over all ids concatenated raised peak memory by about
-    # 5 MB at 425 tokens per case. rank maps a seen bucket to its compact row.
-    seen = np.zeros(max(map(len, full.values()), default=0), dtype=bool)
-    for ids in train_ds.tokens + val_ds.tokens:
-        seen[ids] = True
-    rank = np.cumsum(seen)
-    rank -= 1  # in place: one bucket-sized array, not two
-    for ds in (train_ds, val_ds):
-        for i, ids in enumerate(ds.tokens):
-            ds.tokens[i] = rank[ids]
-    for name, emb in full.items():
-        model.params[name] = emb[seen]
-
     state = AdamState.init(model.params)
     result = TrainResult(model=model, config=config)
     for epoch in range(1, config.max_epochs + 1):
@@ -365,11 +365,7 @@ def train(
             "%s epoch %d: train %.6f validation %.6f%s",
             arch, epoch, train_loss, val_loss, " *" if picked else "",
         )
-    # The first epoch's loss is finite, so some epoch was picked. Write its
-    # compact rows into the full tables and hand the model its weights.
-    for name, emb in full.items():
-        emb[seen] = best_params[name]
-        best_params[name] = emb
+    # The first epoch's loss is finite, so some epoch was picked.
     model.params = best_params
     return result
 

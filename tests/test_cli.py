@@ -213,19 +213,23 @@ class TestTrain:
         assert_exits(capsys, argv, 1, "pre.cfg: unknown key 'encoder'")
         assert not (tmp_path / "x.npz").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        # past numpy's size limit: refused before any allocation
-        ("vocab_buckets", 1 << 62),
+    @pytest.mark.parametrize("key, value, message", [
+        # A model keeps only its trained rows, so the first array sized by
+        # the bucket count is the mask of the buckets training reads: 4 EiB,
+        # malloc fails at once.
+        pytest.param("vocab_buckets", 1 << 62,
+                     "a mask over 4611686018427387904 buckets does not fit in memory",
+                     id="vocab_buckets-4611686018427387904"),
         # 256 PiB: malloc fails at once
-        ("dim", 1 << 40),
+        pytest.param("dim", 1 << 40, "enc.emb of shape", id="dim-1099511627776"),
     ])
     def test_shape_too_large_for_memory_is_usage_error(self, pipeline, tmp_path, key, value,
-                                                        capsys):
+                                                        message, capsys):
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(f"max_epochs = 1\n{key} = {value}\n", encoding="utf-8")
         argv = ["train", "--arch", "mtl", "--corpus", str(pipeline / "corpus"),
                 "--out", str(tmp_path / "x.npz"), "--config", str(cfg)]
-        assert_exits(capsys, argv, 1, "enc.emb of shape")
+        assert_exits(capsys, argv, 1, message)
         assert not (tmp_path / "x.npz").exists()
 
 

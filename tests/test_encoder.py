@@ -71,34 +71,52 @@ class TestTokenize:
             assert ids.min() >= 0 and ids.max() < buckets
 
 
-def unique_reference(chunk):
-    """One slice of a Bag built with np.unique: the sorted distinct ids, and
-    per case each id's count over the case's length (0 for an empty case)."""
-    rows = np.unique(np.concatenate(chunk))
+def unique_reference(chunk, row_of):
+    """One slice of a Bag built with np.unique: the sorted distinct rows the
+    ids map to, an id mapped to -1 left out, and per case each row's count
+    over the case's length, left-out ids included (0 for an empty case)."""
+    mapped = [row_of[case_ids] for case_ids in chunk]
+    rows = np.unique(np.concatenate(mapped))
+    rows = rows[rows >= 0]
     weights = np.zeros((len(chunk), len(rows)))
-    for i, case_ids in enumerate(chunk):
-        ids, counts = np.unique(case_ids, return_counts=True)
-        weights[i, np.searchsorted(rows, ids)] = counts / max(len(case_ids), 1)
+    for i, case_rows in enumerate(mapped):
+        ids, counts = np.unique(case_rows[case_rows >= 0], return_counts=True)
+        weights[i, np.searchsorted(rows, ids)] = counts / max(len(case_rows), 1)
     return rows, weights
+
+
+def bag_of(ids):
+    """Bag.of with every id its own row."""
+    return Bag.of(ids, np.arange(max((int(i.max()) + 1 for i in ids if len(i)), default=0)))
 
 
 class TestBag:
     @given(st.lists(st.lists(st.integers(0, 40) | st.integers(0, 32767), max_size=20),
-                    max_size=150))
-    @example([])
-    @example([[], []])
-    @example([[]] * 64 + [[5, 5, 0]])  # an all-empty first slice
+                    max_size=150),
+           st.none() | st.sets(st.integers(0, 40) | st.integers(0, 32767)))
+    @example([], None)
+    @example([[], []], None)
+    @example([[]] * 64 + [[5, 5, 0]], None)  # an all-empty first slice
     # 150 cases make slices of 64, 64 and 22; the middle one is all empty.
-    @example([[i % 7, 32767] for i in range(64)] + [[]] * 64 + [[3] * i for i in range(22)])
-    def test_slices_match_unique_reference(self, cases):
+    @example([[i % 7, 32767] for i in range(64)] + [[]] * 64 + [[3] * i for i in range(22)],
+             None)
+    @example([[1, 2, 1]], {2})  # a case with one row and two ids without one
+    @example([[1, 3], []], set())  # no id has a row
+    def test_slices_match_unique_reference(self, cases, vocab):
+        # The ids are buckets of 32768; None gives each its own row, a set
+        # gives its buckets their places in it and every other bucket -1.
         ids = [np.array(c, dtype=np.int64) for c in cases]
-        bag = Bag.of(ids)
+        row_of = np.arange(32768)
+        if vocab is not None:
+            row_of = np.full(32768, -1, dtype=np.intp)
+            row_of[sorted(vocab)] = np.arange(len(vocab))
+        bag = Bag.of(ids, row_of)
         assert bag.n_cases == len(ids)
         assert [(s.start, s.stop) for s, _, _ in bag.slices] == [
             (lo, min(lo + 64, len(ids))) for lo in range(0, len(ids), 64)
         ]
         for cases_slice, rows, weights in bag.slices:
-            want_rows, want_weights = unique_reference(ids[cases_slice])
+            want_rows, want_weights = unique_reference(ids[cases_slice], row_of)
             assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
             assert weights.shape == want_weights.shape
             assert weights.tobytes() == want_weights.tobytes()
@@ -108,17 +126,24 @@ class TestBowEncode:
     def test_mean_pooling_by_hand(self):
         emb = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
         ids = [np.array([0, 2]), np.array([1])]
-        out = bow_encode(Bag.of(ids), emb)
+        out = bow_encode(bag_of(ids), emb)
         assert out.tolist() == [[3.0, 4.0], [3.0, 4.0]]
 
     def test_repeated_token_weights_the_mean(self):
         emb = np.array([[0.0, 0.0], [3.0, 3.0]])
-        out = bow_encode(Bag.of([np.array([1, 1, 0])]), emb)
+        out = bow_encode(bag_of([np.array([1, 1, 0])]), emb)
         assert out.tolist() == [[2.0, 2.0]]
+
+    def test_id_without_a_row_reads_a_zero_row(self):
+        # Id 1 has no row: the case's mean is (row of 0 + 0 + row of 2) / 3,
+        # over all three tokens.
+        emb = np.array([[3.0, 6.0], [9.0, 0.0]])
+        out = bow_encode(Bag.of([np.array([0, 1, 2])], np.array([0, -1, 1])), emb)
+        assert out.tolist() == [[4.0, 2.0]]
 
     def test_empty_token_list_is_zero_vector(self):
         emb = np.ones((4, 3))
-        out = bow_encode(Bag.of([np.array([], dtype=np.int64)]), emb)
+        out = bow_encode(bag_of([np.array([], dtype=np.int64)]), emb)
         assert out.tolist() == [[0.0, 0.0, 0.0]]
 
     @staticmethod
@@ -146,7 +171,7 @@ class TestBowEncode:
         (the weight, the product, its sum over cases, the merge of slices),
         whatever order BLAS adds in; k = 2m + 2 also covers the rounding of
         the magnitudes' own sum. A row with no term must be exactly 0."""
-        grad = bow_backward(Bag.of(ids), dx, n_rows)
+        grad = bow_backward(bag_of(ids), dx, n_rows)
         assert grad.shape == (n_rows, dx.shape[1]) and grad.dtype == np.float64
         oracle, n_terms, magnitude = self.loop_oracle(ids, dx, n_rows)
         k = (2 * n_terms + 2)[:, None]
@@ -189,7 +214,7 @@ class TestBowEncode:
         rng = np.random.default_rng(4)
         ids = [np.append(rng.integers(0, 300, size=rng.integers(0, 60)), 7) if i % 50 == 0
                else rng.integers(0, 300, size=rng.integers(0, 60)) for i in range(150)]
-        bag = Bag.of(ids)
+        bag = bag_of(ids)
         assert [(s.start, s.stop) for s, _, _ in bag.slices] == [(0, 64), (64, 128), (128, 150)]
         assert all(7 in rows for _, rows, _ in bag.slices)
         dx = rng.normal(size=(150, 4))
@@ -209,7 +234,7 @@ class TestBowEncode:
         # Finite differences on a scalar function of the pooled vectors.
         rng = np.random.default_rng(1)
         emb = rng.normal(size=(6, 4))
-        bag = Bag.of([np.array([0, 2, 2]), np.array([5])])
+        bag = bag_of([np.array([0, 2, 2]), np.array([5])])
         weights = rng.normal(size=(2, 4))
 
         def value(e):

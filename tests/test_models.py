@@ -250,6 +250,32 @@ class TestForwardByHand:
         assert p_neg[1, 0] == pytest.approx(oracle_sigmoid(1.25), abs=1e-15)
 
 
+    def test_untrained_bucket_reads_a_zero_row(self):
+        # The tables hold buckets 0, 2 and 3 of 4, so bucket 1 has no row:
+        # it adds a zero row to its case's mean and counts in its length.
+        model = build_model(
+            "simple", ArticleIndex((2,)), np.random.default_rng(0),
+            dim=2, hidden=2, vocab_buckets=4, max_tokens=8, vocab=np.array([0, 2, 3]),
+        )
+        assert model.params["pos_enc.emb"].shape == (3, 2)
+        model.params["pos_enc.emb"][...] = [[1, 0], [1, 1], [2, 0]]
+        model.params["neg_enc.emb"][...] = np.array([[1, 0], [1, 1], [2, 0]]) * 0.5
+        model.params["pos.hidden_w"][...] = [[[1, 2], [3, 4]]]
+        model.params["pos.out_w"][...] = [[1, -1]]
+        model.params["neg.hidden_w"][...] = [[[0, 1], [1, 0]]]
+        model.params["neg.out_w"][...] = [[2, 1]]
+        batch = make_batch([[Outcome.POS], [Outcome.NEG]], tokens=[[0], [1, 2]])
+        p_pos, p_neg = model.forward(batch)
+        # case 0: x_pos=[1,0], pre=[1,3], z = 1*1 - 1*3 = -2
+        # case 1: x_pos=([0,0]+[1,1])/2=[.5,.5], pre=[1.5,3.5], z = -2
+        assert p_pos[0, 0] == pytest.approx(oracle_sigmoid(-2.0), abs=1e-15)
+        assert p_pos[1, 0] == pytest.approx(oracle_sigmoid(-2.0), abs=1e-15)
+        # case 0: x_neg=[.5,0], pre=[0,.5], z = 0.5
+        # case 1: x_neg=[.25,.25], pre=[.25,.25], z = 2*.25 + 1*.25 = .75
+        assert p_neg[0, 0] == pytest.approx(oracle_sigmoid(0.5), abs=1e-15)
+        assert p_neg[1, 0] == pytest.approx(oracle_sigmoid(0.75), abs=1e-15)
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 class TestForwardAgainstLoopOracle:
     def test_forward(self, arch):
@@ -647,11 +673,31 @@ class TestBuildModel:
             assert cls.arch == arch
             assert build_model(arch, INDEX2, np.random.default_rng(0), vocab_buckets=8).arch == arch
 
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_vocab_keeps_the_whole_draws_rows(self, arch):
+        # 5000 buckets of dim 48 are drawn in four blocks of rows. The kept
+        # rows, the heads drawn after the tables and the generator's state
+        # after them all equal those of a model of every bucket.
+        vocab = np.array([0, 1, 1364, 1365, 2731, 4095, 4999])
+        a, b = np.random.default_rng(7), np.random.default_rng(7)
+        whole = build_model(arch, INDEX2, a, dim=48, hidden=3, vocab_buckets=5000)
+        kept = build_model(arch, INDEX2, b, dim=48, hidden=3, vocab_buckets=5000, vocab=vocab)
+        assert a.bit_generator.state == b.bit_generator.state
+        assert whole.vocab.tolist() == list(range(5000))
+        assert kept.vocab.tolist() == vocab.tolist() and kept.vocab_buckets == 5000
+        assert whole.params.keys() == kept.params.keys()
+        for name, p in whole.params.items():
+            want = p[vocab] if name.endswith(".emb") else p
+            assert kept.params[name].tobytes() == want.tobytes()
+
     def test_same_seed_same_weights(self):
         a = build_model("joint", INDEX2, np.random.default_rng(5), vocab_buckets=32)
         b = build_model("joint", INDEX2, np.random.default_rng(5), vocab_buckets=32)
         for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
+
+
+_BAD_VOCAB = r"vocab must hold strictly increasing integer bucket ids in \[0, 8\)"
 
 
 def _edit_meta(arrays, **changes):
@@ -687,6 +733,46 @@ class TestCheckpoints:
             )
         elif arch == "joint":
             np.testing.assert_array_equal(model.forward(batch), loaded.forward(batch))
+
+    def test_version_2_round_trip(self, tmp_path):
+        # Tables of 4 of 16 buckets: the file holds the vocab and the kept
+        # rows, and the reloaded model predicts the same bytes, tokens of
+        # buckets outside the vocab included.
+        rng = np.random.default_rng(42)
+        model = build_model("claim_outcome", INDEX2, rng, dim=4, hidden=3, vocab_buckets=16,
+                            max_tokens=8, vocab=np.array([1, 5, 6, 15]))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with np.load(path, allow_pickle=False) as data:
+            assert json.loads(str(data["_meta"]))["version"] == 2
+            assert data["vocab"].tolist() == [1, 5, 6, 15]
+            assert data["claim_enc.emb"].shape == (4, 4)
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tolist() == [1, 5, 6, 15] and loaded.vocab_buckets == 16
+        for name in model.params:
+            assert loaded.params[name].tobytes() == model.params[name].tobytes()
+        tokens = [rng.integers(0, 16, size=5) for _ in range(6)]
+        batch = make_batch(rng.integers(0, 3, size=(6, 2)), tokens=tokens)
+        assert not np.isin(np.concatenate(tokens), [1, 5, 6, 15]).all()
+        assert (loaded.outcome_distribution(batch).tobytes()
+                == model.outcome_distribution(batch).tobytes())
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_version_1_file_reads_as_every_bucket(self, arch, tmp_path):
+        # Written by hand as version 1 wrote it: whole tables, no vocab.
+        rng = np.random.default_rng(43)
+        model = build_model(arch, INDEX2, rng, dim=4, hidden=3, vocab_buckets=16, max_tokens=8)
+        meta = {"version": 1, "arch": arch, "articles": [2, 6], "hidden": 3,
+                "encoder_kind": "hashed_bow", "dim": 4, "max_tokens": 8, "vocab_buckets": 16}
+        path = tmp_path / "v1.npz"
+        with path.open("wb") as fh:
+            np.savez(fh, _meta=np.asarray(json.dumps(meta, sort_keys=True)), **model.params)
+        loaded = load_checkpoint(path)
+        assert loaded.vocab.tolist() == list(range(16)) and loaded.vocab_buckets == 16
+        tokens = [rng.integers(0, 16, size=5) for _ in range(6)]
+        batch = make_batch(rng.integers(0, 3, size=(6, 2)), tokens=tokens)
+        got, want = loaded.forward(batch), model.forward(batch)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_no_npz_suffix_added(self, tmp_path):
         model = build_model("mtl", INDEX2, np.random.default_rng(0), vocab_buckets=8)
@@ -749,9 +835,25 @@ class TestCheckpoints:
             ("simple", lambda a: _edit_meta(a, arch="mlp"), "unknown architecture 'mlp'"),
             ("simple", lambda a: _edit_meta(a, encoder_kind="bert"),
              "unknown encoder kind 'bert'"),
+            ("mtl", lambda a: a.pop("vocab"), "missing vocab"),
+            ("mtl", lambda a: a.update({"vocab": a["vocab"][::-1]}), _BAD_VOCAB),
+            ("mtl", lambda a: a["vocab"].__setitem__(1, 0), _BAD_VOCAB),
+            ("mtl", lambda a: a["vocab"].__setitem__(-1, 8), _BAD_VOCAB),
+            ("mtl", lambda a: a.update({"vocab": a["vocab"].astype(np.int64) - 1}), _BAD_VOCAB),
+            ("mtl", lambda a: a.update({"vocab": a["vocab"].astype(np.float64)}), _BAD_VOCAB),
+            ("mtl", lambda a: a.update({"vocab": np.array([0, "x"], dtype=object)}),
+             _BAD_VOCAB),
+            ("mtl", lambda a: a.update({"vocab": a["vocab"][:-1]}),
+             r"enc.emb has shape \(8, 4\), expected \(7, 4\)"),
+            ("mtl", lambda a: _edit_meta(a, vocab_buckets=0), "vocab_buckets must be >= 1"),
+            ("mtl", lambda a: _edit_meta(a, vocab_buckets=1 << 62),
+             "a row lookup over 4611686018427387904 buckets does not fit in memory"),
         ],
         ids=["missing_head", "wrong_shape", "extra_array", "meta_not_json",
-             "meta_not_object", "unknown_arch", "unknown_encoder_kind"],
+             "meta_not_object", "unknown_arch", "unknown_encoder_kind", "missing_vocab",
+             "unsorted_vocab", "repeated_vocab", "vocab_past_buckets", "negative_vocab",
+             "float_vocab", "object_vocab", "vocab_shorter_than_tables", "no_buckets",
+             "buckets_past_memory"],
     )
     def test_contents_checked_against_metadata(self, arch, edit, message, tmp_path):
         model = build_model(arch, INDEX2, np.random.default_rng(0), dim=4, hidden=3,

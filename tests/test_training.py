@@ -95,10 +95,10 @@ def adam_oracle(p, m, v, g, lr, t):
 
 def full_table_oracle(arch, config, splits, vectors=None):
     """train() as a plain loop: dense Adam written out over every whole
-    parameter array, full embedding tables included, with the generator
-    drawn in train()'s order (initialization, then per epoch a permutation
-    and the dropout masks), and the best epoch's weights restored.
-    Returns those weights and the per-epoch log."""
+    parameter array, embedding tables of every bucket included, with the
+    generator drawn in train()'s order (initialization, then per epoch a
+    permutation and the dropout masks), and the best epoch's weights
+    restored. Returns those weights and the per-epoch log."""
     model, rng = initial_model(arch, config, splits, vectors)
     train_ds, val_ds = (
         Dataset.build(cases, model.index, model.max_tokens, config.vocab_buckets)
@@ -132,10 +132,13 @@ def full_table_oracle(arch, config, splits, vectors=None):
 def assert_trains_like_oracle(arch, config, splits, vectors=None):
     want_params, want_log = full_table_oracle(arch, config, splits, vectors)
     result = train(arch, config, splits, vectors=vectors)
+    model = result.model
     assert result.log == want_log
-    assert result.model.params.keys() == want_params.keys()
+    assert model.params.keys() == want_params.keys()
     for name, p in want_params.items():
-        assert result.model.params[name].tobytes() == p.tobytes()
+        if name.endswith(".emb"):  # the whole table's rows of the model's vocab
+            p = p[model.vocab]
+        assert model.params[name].tobytes() == p.tobytes()
     return result
 
 
@@ -607,8 +610,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_rows_outside_training_keep_initial_bytes(self, arch, tiny_splits):
-        # Rows hashed from validation tokens only, from test tokens only, or
-        # from no token at all never get a gradient.
+        # The vocab is the buckets of the training and validation tokens.
+        # Rows hashed from validation tokens only never get a gradient;
+        # buckets of test tokens only, or of no token at all, have no row.
         config = fast_config(vocab_buckets=4096)
 
         def rows(cases):
@@ -623,39 +627,57 @@ class TestTrain:
         nowhere = np.setdiff1d(np.arange(config.vocab_buckets),
                                np.union1d(np.union1d(seen_train, seen_val), seen_test))
         assert len(val_only) and len(test_only) and len(nowhere)
-        untrained = np.concatenate([val_only, test_only, nowhere])
         initial = initial_model(arch, config, tiny_splits)[0].params
-        result = train(arch, config, tiny_splits)
-        for name, emb in result.model.params.items():
+        model = train(arch, config, tiny_splits).model
+        assert model.vocab.tolist() == np.union1d(seen_train, seen_val).tolist()
+        assert not np.isin(np.concatenate([test_only, nowhere]), model.vocab).any()
+        val_rows, train_rows = (np.searchsorted(model.vocab, b) for b in (val_only, seen_train))
+        for name, emb in model.params.items():
             if name.endswith(".emb"):
-                assert emb[untrained].tobytes() == initial[name][untrained].tobytes()
-                assert not np.array_equal(emb[seen_train], initial[name][seen_train])
+                assert emb[val_rows].tobytes() == initial[name][val_only].tobytes()
+                assert not np.array_equal(emb[train_rows], initial[name][seen_train])
 
     def test_training_without_tokens(self, tiny_splits):
         # Training and validation facts that tokenize to nothing leave no
-        # embedding row to train: the compact tables have zero rows.
+        # bucket to train: the vocab is empty and the tables have no rows,
+        # so every test token reads a zero row.
         splits = tiny_splits
         for cases in (splits.train, splits.validation):
             cases[:] = [replace(c, facts="--- !!! ...") for c in cases]
         config = fast_config()
-        initial = initial_model("claim_outcome", config, splits)[0].params
         result = train("claim_outcome", config, splits)
+        model = result.model
         assert [e["epoch"] for e in result.log] == [1, 2, 3]
         assert all(math.isfinite(e["val_loss"]) for e in result.log)
+        assert model.vocab.size == 0 and model.vocab_buckets == config.vocab_buckets
         for name in ("claim_enc.emb", "outcome_enc.emb"):
-            assert result.model.params[name].tobytes() == initial[name].tobytes()
+            assert model.params[name].shape == (0, config.dim)
+        test = Dataset.build(splits.test, model.index, model.max_tokens, model.vocab_buckets)
+        assert all(len(ids) for ids in test.tokens)
+        blank = replace(test, tokens=[np.empty(0, dtype=np.int64)] * len(test))
+        assert np.array_equal(model.outcome_distribution(test), model.outcome_distribution(blank))
 
     def test_restored_weights_keep_encoder_alias(self):
-        # Training runs on compact tables; the model's params must get back
-        # the full tables, which the encoders read.
+        # The best epoch's tables, one row per vocab bucket, are the arrays
+        # the encoders read: zeroing them pools every case to the zero
+        # vector, so every case gets the same prediction.
         splits = small_corpus()
         config = fast_config()
         for arch in ARCHITECTURES:
             model = train(arch, config, splits).model
             tables = [p for name, p in model.params.items() if name.endswith(".emb")]
             assert tables
+            test = Dataset.build(splits.test, model.index, model.max_tokens,
+                                 model.vocab_buckets)
+            # joint returns (cases, K, 3), the others one (cases, K) per head.
+            case_axis = 0 if arch == "joint" else 1
+            before = np.moveaxis(np.asarray(model.forward(test)), case_axis, 0)
             for emb in tables:
-                assert emb.shape == (config.vocab_buckets, config.dim)
+                assert emb.shape == (len(model.vocab), config.dim)
+                emb[...] = 0.0
+            after = np.moveaxis(np.asarray(model.forward(test)), case_axis, 0)
+            assert not (before == before[:1]).all()
+            assert (after == after[:1]).all()
 
     def test_unknown_arch(self):
         with pytest.raises(UsageError, match="unknown architecture"):
